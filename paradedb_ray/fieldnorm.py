@@ -44,12 +44,6 @@ _MAX_INT4 = _long_to_int4(2**31 - 1)
 _NUM_FREE_VALUES = 255 - _MAX_INT4
 
 
-def _int_to_byte4(i: int) -> int:
-    if i < _NUM_FREE_VALUES:
-        return i
-    return min(255, _NUM_FREE_VALUES + _long_to_int4(i - _NUM_FREE_VALUES))
-
-
 def _byte4_to_int(b: int) -> int:
     if b < _NUM_FREE_VALUES:
         return b
@@ -71,8 +65,3 @@ def fieldnorm_to_id(fieldnorm: np.ndarray | int):
     arr = np.asarray(fieldnorm, dtype=np.int64)
     ids = np.searchsorted(FIELD_NORMS_TABLE, arr, side="right") - 1
     return ids.astype(np.uint8)
-
-
-def id_to_fieldnorm(ids: np.ndarray | int) -> np.ndarray:
-    """Decode fieldnorm byte ids back to (quantized) token counts."""
-    return FIELD_NORMS_TABLE[np.asarray(ids, dtype=np.int64)]

@@ -38,7 +38,10 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from paradedb_ray.stages.blocks import cluster_cpus, collect_table
+
 _WS = re.compile(r"\S+")
+_VOCAB_SCHEMA = pa.schema([("token", pa.string()), ("freq", pa.int64())])
 
 
 def _flat_tokens(col):
@@ -85,14 +88,13 @@ def build_token_vocab(ds: ray.data.Dataset, text_col: str,
     Arrow table ``(token, freq)`` sorted by (freq DESC, token ASC)."""
     from paradedb_ray.stages.hash_agg import hash_group_aggregate
 
-    tok = ds.map_batches(lambda b: _explode(b, text_col),
+    tok = ds.map_batches(_explode, fn_kwargs={"text_col": text_col},
                          batch_format="pyarrow", batch_size=None)
     counts = hash_group_aggregate(tok, ["token"],
                                   {"freq": ("sum", "freq")})
-    heads = counts.map_batches(lambda b: _head(b, top_v),
+    heads = counts.map_batches(_head, fn_kwargs={"v": top_v},
                                batch_format="pyarrow", batch_size=None)
-    merged = pa.concat_tables(ray.get(heads.to_arrow_refs()))
-    return _head(merged, top_v)
+    return _head(collect_table(heads, _VOCAB_SCHEMA), top_v)
 
 
 def _explode_tf(batch: pa.Table, text_col: str, key_col: str) -> pa.Table:
@@ -132,7 +134,8 @@ def extract_keywords(ds: ray.data.Dataset, text_col: str, key_col: str,
     # materialized once: both the df aggregate and the join consume it
     # (columnar, object-store-spillable; recomputing would re-tokenize
     # the corpus twice)
-    tok = ds.map_batches(lambda b: _explode_tf(b, text_col, key_col),
+    tok = ds.map_batches(_explode_tf,
+                         fn_kwargs={"text_col": text_col, "key_col": key_col},
                          batch_format="pyarrow",
                          batch_size=None).materialize()
     df = hash_group_aggregate(tok, ["token"],
@@ -194,11 +197,7 @@ def add_freq_quality(ds: ray.data.Dataset, text_col: str, key_col: str,
     counts of the doc's in-vocab tokens), ``tf_in_vocab``,
     ``tf_n_tokens`` — all int64, bit-exact."""
     if concurrency is None:
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            cpus = 8
-        concurrency = (1, max(4, cpus))
+        concurrency = (1, max(4, cluster_cpus()))
     ref = ray.put(vocab)
     return ds.map_batches(
         _FreqScorer,

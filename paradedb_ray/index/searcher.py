@@ -1502,20 +1502,6 @@ def _fuzzy_match_mask(query: str, terms, max_dist: int,
     return out
 
 
-def _within_distance(query: str, term: str, max_dist: int,
-                     transposition_cost_one: bool, prefix: bool) -> bool:
-    """Damerau-ish Levenshtein with early cutoff; ``prefix`` matches the
-    query against term prefixes (tantivy FuzzyTermQuery::new_prefix)."""
-    if prefix and len(term) > len(query) + max_dist:
-        term_candidates = [term[: len(query) + d] for d in range(max_dist + 1)]
-    else:
-        term_candidates = [term]
-    for t in term_candidates:
-        if _lev(query, t, max_dist, transposition_cost_one) <= max_dist:
-            return True
-    return False
-
-
 def _lev(a: str, b: str, cutoff: int, transpositions: bool) -> int:
     if abs(len(a) - len(b)) > cutoff:
         return cutoff + 1

@@ -23,6 +23,7 @@ from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
 from paradedb_ray.query import ast
 from paradedb_ray.schema import IndexSchema
+from paradedb_ray.stages.blocks import cluster_cpus, tree_reduce_refs
 
 
 #: aggregate spec: (kind, column) with kind in
@@ -397,11 +398,11 @@ def _sort_null_safe(out: ray.data.Dataset, keys: list,
     """Sort with NULL string keys sentinel-encoded through Ray's
     range-partitioned sort (it samples object-dtype blocks and cannot
     order None among strings); decoded back to NULL after."""
-    enc = out.map_batches(lambda t: _sentinel_encode(t, keys),
+    enc = out.map_batches(_sentinel_encode, fn_kwargs={"cols": keys},
                           batch_format="pyarrow", batch_size=None)
     s = (enc.sort(keys, descending=descending) if descending is not None
          else enc.sort(keys))
-    return s.map_batches(lambda t: _sentinel_decode(t, keys),
+    return s.map_batches(_sentinel_decode, fn_kwargs={"cols": keys},
                          batch_format="pyarrow", batch_size=None)
 
 
@@ -934,7 +935,7 @@ def percentiles_agg(
     # single-column projection to O(CPUs) blocks ONCE (spill-backed
     # materialize — the projection is a tiny fraction of the corpus) and
     # every subsequent pass runs over the coalesced copy
-    ncpus = int(ray.cluster_resources().get("CPU", 32))
+    ncpus = cluster_cpus()
     vals_ds = vals_ds.materialize()
     if vals_ds.num_blocks() > 8 * ncpus:
         vals_ds = vals_ds.repartition(4 * ncpus).materialize()
@@ -1026,14 +1027,12 @@ def percentiles_tdigest_agg(
 
         return partials.groupby(group_by).map_groups(
             fin, batch_format="pyarrow").map_batches(
-            lambda t: _sentinel_decode(t, group_by),
+            _sentinel_decode, fn_kwargs={"cols": group_by},
             batch_format="pyarrow", batch_size=None)
     # ungrouped: fan-in-32 tree-reduce of the per-block digests (t-digest
     # merge is the sketch's own combine op) — O(log B) task waves, the
     # driver unpickles exactly one O(compression) digest regardless of
     # block count
-    from paradedb_ray.stages.search_stages import tree_reduce_refs
-
     refs = tree_reduce_refs(partials.to_arrow_refs(),
                             _merge_tdigest_parts, compression)
     if refs:
@@ -1058,19 +1057,6 @@ def _merge_tdigest_parts(compression: float, *tabs: pa.Table) -> pa.Table:
         [TDigest.from_bytes(b.as_py(), compression)
          for t in tabs for b in t.column("__td")], compression)
     return pa.table({"__td": pa.array([d.to_bytes()], pa.binary())})
-
-
-def _dist_count_valid(ds: ray.data.Dataset, col: str) -> int:
-    def cnt(t: pa.Table) -> pa.Table:
-        x = t.column(col).to_numpy(zero_copy_only=False).astype(float)
-        return pa.table({"n": pa.array([int((~np.isnan(x)).sum())],
-                                       pa.int64())})
-
-    # native distributive sum — per-block partials reduce inside Ray, the
-    # driver receives one scalar (was a take_all + O(B) driver loop)
-    total = ds.map_batches(cnt, batch_format="pyarrow",
-                           batch_size=None).sum("n")
-    return int(total or 0)
 
 
 def _dist_stats(ds: ray.data.Dataset, col: str):
@@ -1160,8 +1146,6 @@ def _dist_rank_values(ds: ray.data.Dataset, col: str, ranks: list,
         # fan-in-32 tree-reduce: counts are integer sums, bmin/bmax are
         # min/max — associative, so the tree is bit-identical to the old
         # O(B) driver loop at any block count
-        from paradedb_ray.stages.search_stages import tree_reduce_refs
-
         refs = tree_reduce_refs(
             ds.map_batches(part, batch_format="pyarrow",
                            batch_size=None).to_arrow_refs(),

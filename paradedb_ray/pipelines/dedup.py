@@ -33,7 +33,8 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
-from ray.data.aggregate import Count, Min
+
+from paradedb_ray.stages.blocks import cluster_cpus, collect_table
 
 _MERSENNE = (1 << 61) - 1
 
@@ -41,11 +42,7 @@ _MERSENNE = (1 << 61) - 1
 def _join_partitions() -> int:
     """Partition count for candidate joins: one per 2 cluster CPUs,
     bounded — the joined streams are signature/pair metadata (no text)."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return max(2, min(64, cpus // 2))
+    return max(2, min(64, cluster_cpus() // 2))
 
 
 #: candidate sets up to this many rows join as a broadcast side (pyarrow
@@ -345,8 +342,7 @@ def _lsh_bucket_pairs(sigs: "ray.data.Dataset", key_col: str,
 
     out = grouped_min_count(pairs.materialize(), [key_col], "dup_of",
                             min_alias="dup_of", count_alias="__n")
-    return out.map_batches(lambda b: b.select([key_col, "dup_of"]),
-                           batch_format="pyarrow", batch_size=None)
+    return out.select_columns([key_col, "dup_of"])
 
 
 def _lsh_bucket_all_pairs(sigs: "ray.data.Dataset", key_col: str,
@@ -428,13 +424,6 @@ def _token_hashes64(tokens: np.ndarray) -> np.ndarray:
         uh[i] = int.from_bytes(
             hashlib.blake2b(t.encode(), digest_size=8).digest(), "little")
     return uh[inv]
-
-
-def simhash64(tokens: list) -> int:
-    """64-bit SimHash over token hashes (document fingerprinting) —
-    scalar reference kernel; the batch path is :func:`simhash64_batch`."""
-    out = simhash64_batch([tokens])
-    return int(out[0])
 
 
 def simhash64_batch(token_lists: list) -> np.ndarray:
@@ -540,8 +529,7 @@ def _banded_hamming_pairs(sig: "ray.data.Dataset", key_col: str,
 
     out = grouped_min_count(pairs.materialize(), [key_col], "dup_of",
                             min_alias="dup_of", count_alias="__n")
-    return out.map_batches(lambda b: b.select([key_col, "dup_of"]),
-                           batch_format="pyarrow", batch_size=None)
+    return out.select_columns([key_col, "dup_of"])
 
 
 def simhash_duplicates(
@@ -832,8 +820,7 @@ def embedding_near_duplicates(
     if cand.count() <= _BROADCAST_ROWS:
         from paradedb_ray.pipelines.joins import payload_safe_join
 
-        cand_tbl = pa.concat_tables(
-            ray.get(cand.to_arrow_refs())).combine_chunks()
+        cand_tbl = collect_table(cand).combine_chunks()
         cand_ref = ray.put(cand_tbl)
 
         def attach(batch: pa.Table) -> pa.Table:
@@ -902,5 +889,4 @@ def embedding_near_duplicates(
 
     out = grouped_min_count(pairs.materialize(), [key_col], "dup_of",
                             min_alias="dup_of", count_alias="__n")
-    return out.map_batches(lambda b: b.select([key_col, "dup_of"]),
-                           batch_format="pyarrow", batch_size=None)
+    return out.select_columns([key_col, "dup_of"])

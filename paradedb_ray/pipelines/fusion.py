@@ -22,13 +22,12 @@ import pyarrow as pa
 def _to_table(x) -> pa.Table:
     if isinstance(x, pa.Table):
         return x
-    if hasattr(x, "to_arrow_refs") or hasattr(x, "to_pandas"):  # Dataset
-        import ray
+    if hasattr(x, "to_arrow_refs"):  # Dataset
+        from paradedb_ray.stages.blocks import collect_table
 
-        return pa.concat_tables(
-            ray.get(x.to_arrow_refs()),
-            promote_options="default") if hasattr(x, "to_arrow_refs") \
-            else pa.Table.from_pandas(x.to_pandas())
+        return collect_table(x)
+    if hasattr(x, "to_pandas"):
+        return pa.Table.from_pandas(x.to_pandas())
     return pa.table(x)
 
 

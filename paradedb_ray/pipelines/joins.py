@@ -21,6 +21,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from paradedb_ray.stages.blocks import cluster_cpus, collect_table
+
 _PA_JOIN = {
     "inner": "inner",
     "left": "left outer",
@@ -72,17 +74,7 @@ def broadcast_join(
     if isinstance(right, ray.data.Dataset):
         if right_columns:
             right = right.select_columns(sorted(set(right_columns) | set(rkeys)))
-        # shuffle outputs may contain schema-less empty blocks — drop them
-        # (ONE batched ray.get: a per-ref loop serializes on the driver)
-        tables = [t for t in ray.get(right.to_arrow_refs())
-                  if t.num_rows > 0]
-        if tables:
-            small = pa.concat_tables(tables, promote_options="default")
-        else:
-            s = right.schema()
-            base = getattr(s, "base_schema", None)
-            small = (base.empty_table() if isinstance(base, pa.Schema)
-                     else pa.schema(list(zip(s.names, s.types))).empty_table())
+        small = collect_table(right)
     else:
         small = right
         if right_columns:
@@ -99,21 +91,11 @@ def semi_join_pushdown(
 ) -> ray.data.Dataset:
     """IN-list pushdown: collect distinct build-side keys, broadcast, filter
     the probe side by membership (TermSet semantics)."""
-    rkey = right_on or on
-    # shuffle outputs may contain schema-less empty blocks — drop them
-    # (ONE batched ray.get: a per-ref loop serializes on the driver)
-    tables = [t for t in
-              ray.get(right.select_columns([rkey]).to_arrow_refs())
-              if t.num_rows > 0]
     import pyarrow.compute as pc
 
-    if tables:
-        keys_tbl = pa.concat_tables(tables, promote_options="default")
-        keyset = pc.unique(keys_tbl.column(rkey).combine_chunks())
-    else:
-        s = right.schema()
-        keyset = pa.array([], dict(zip(s.names, s.types))[rkey])
-    ref = ray.put(keyset)
+    rkey = right_on or on
+    keys_tbl = collect_table(right.select_columns([rkey]))
+    ref = ray.put(pc.unique(keys_tbl.column(rkey).combine_chunks()))
 
     def member(batch: pa.Table) -> pa.Table:
         ks = ray.get(ref)
@@ -139,17 +121,9 @@ def semi_join_pushdown_disjunctive(
     EXISTS semantics on both sides."""
     import pyarrow.compute as pc
 
-    tables = [t for t in
-              ray.get(right.select_columns([right_on]).to_arrow_refs())
-              if t.num_rows > 0]
-    if tables:
-        keys_tbl = pa.concat_tables(tables, promote_options="default")
-        keyset = pc.unique(
-            keys_tbl.column(right_on).combine_chunks().drop_null())
-    else:
-        s = right.schema()
-        keyset = pa.array([], dict(zip(s.names, s.types))[right_on])
-    ref = ray.put(keyset)
+    keys_tbl = collect_table(right.select_columns([right_on]))
+    ref = ray.put(pc.unique(
+        keys_tbl.column(right_on).combine_chunks().drop_null()))
 
     def member(batch: pa.Table) -> pa.Table:
         ks = ray.get(ref)
@@ -185,11 +159,7 @@ def hash_join(
           "outer": "full_outer"}[how]
     # the join operator needs ALL partition aggregator actors live at
     # once — more partitions than CPUs deadlocks a small session
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    num_partitions = max(2, min(num_partitions, cpus))
+    num_partitions = max(2, min(num_partitions, cluster_cpus()))
     return left.join(right, join_type=jt, num_partitions=num_partitions,
                      on=keys, right_on=rkeys)
 
@@ -532,8 +502,12 @@ def range_join(
         raise ValueError(
             f"range_join: closed must be left|both, got {closed!r}")
     if isinstance(bands, ray.data.Dataset):
-        tabs = [t for t in ray.get(bands.to_arrow_refs()) if t.num_rows > 0]
-        bands = pa.concat_tables(tabs, promote_options="default")
+        bands = collect_table(bands)
+    clash = ((set(bands.column_names) - {lo_col, hi_col})
+             & set(left.schema().names))
+    if clash:
+        raise ValueError(
+            f"range_join: band columns collide with left: {clash}")
     ref = ray.put(bands.combine_chunks())
     return left.map_batches(
         _RangeJoiner(ref, value_col, lo_col, hi_col, closed),

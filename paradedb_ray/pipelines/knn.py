@@ -9,14 +9,15 @@ matmul and keeps its local top-k; the global merge ranks ≤ k×blocks rows.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
 import ray.data
+
+from paradedb_ray.stages.blocks import (chunk_refs, merge_blocks,
+                                        tree_reduce_refs)
 
 
 def _batch_matrix(batch: pa.Table, emb_col: str,
@@ -103,8 +104,6 @@ def _merge_topk(scored: ray.data.Dataset, key_col: str,
     each chunk's per-query head is a superset of its contribution to the
     global head) bounds the final merge to <= chunks x k x |queries|
     rows instead of blocks x k x |queries|."""
-    from paradedb_ray.pipelines.search import _chunk_refs, _merge_blocks
-
     def topk_tbl(t: pa.Table) -> pa.Table:
         df = t.to_pandas()
         df = df.sort_values(["query_id", "score", key_col],
@@ -115,10 +114,10 @@ def _merge_topk(scored: ray.data.Dataset, key_col: str,
                                     ).cast(t.schema)
 
     refs = scored.to_arrow_refs()
-    chunks = _chunk_refs(refs)
+    chunks = chunk_refs(refs)
     if len(chunks) < len(refs):
-        refs = [_merge_blocks.remote(topk_tbl, *ch) for ch in chunks]
-    return ray.data.from_arrow_refs([_merge_blocks.remote(topk_tbl, *refs)])
+        refs = [merge_blocks.remote(topk_tbl, *ch) for ch in chunks]
+    return ray.data.from_arrow_refs([merge_blocks.remote(topk_tbl, *refs)])
 
 
 def knn_brute(
@@ -174,8 +173,6 @@ def _centroid_sample(ds: ray.data.Dataset, emb_col: str,
     pure function of (corpus contents, seed) — deterministic, unbiased
     by row order, and never materializes more than O(blocks-in-flight x
     sample_size) rows anywhere."""
-    from paradedb_ray.stages.search_stages import tree_reduce_refs
-
     useed = np.uint64(seed)
 
     def part(t: pa.Table) -> pa.Table:

@@ -37,6 +37,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from paradedb_ray.stages.blocks import cluster_cpus
+
 _MAGIC = b"FAKEIMG1"
 FEATURE_DIM = 8
 
@@ -47,11 +49,7 @@ def _pool(concurrency):
     hardcoded tiny pool (VERDICT r1 #5)."""
     if concurrency is not None:
         return concurrency
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return (1, max(2, cpus))
+    return (1, max(2, cluster_cpus()))
 
 
 def synthesize_payloads(ds: ray.data.Dataset, text_col: str,

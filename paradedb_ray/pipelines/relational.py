@@ -10,6 +10,8 @@ import pyarrow as pa
 
 import ray.data
 
+from paradedb_ray.stages.blocks import chunk_refs, merge_blocks
+
 
 def filter_batches(ds: ray.data.Dataset,
                    predicate: Callable[[pa.Table], "pa.BooleanArray"],
@@ -48,7 +50,7 @@ def topk_by(ds: ray.data.Dataset, sort_keys: list, limit: int,
 
     Scale shape: each block keeps its own top-k (a superset of its
     contribution to the global head), per-block heads merge in O(CPUs)
-    chunked raw tasks (`search._chunk_refs`), and only the final <=
+    chunked raw tasks (`blocks.chunk_refs`), and only the final <=
     chunks x k rows meet for the exact global sort — never an all-to-all
     sort shuffle."""
     import pyarrow.compute as pc
@@ -62,8 +64,6 @@ def topk_by(ds: ray.data.Dataset, sort_keys: list, limit: int,
             t = t.take(idx[:limit])
         return t
 
-    from paradedb_ray.pipelines.search import _chunk_refs, _merge_blocks
-
     pruned = ds.map_batches(head, batch_format="pyarrow", batch_size=None)
     refs = pruned.to_arrow_refs()
     if not refs:
@@ -74,13 +74,13 @@ def topk_by(ds: ray.data.Dataset, sort_keys: list, limit: int,
         empty = pa.schema(list(zip(sch.names, sch.types))).empty_table()
         return ray.data.from_arrow_refs(
             [ray.put(empty.select(columns) if columns else empty)])
-    chunks = _chunk_refs(refs)
+    chunks = chunk_refs(refs)
     if len(chunks) < len(refs):
-        refs = [_merge_blocks.remote(head, *ch) for ch in chunks]
+        refs = [merge_blocks.remote(head, *ch) for ch in chunks]
     # the projection runs AFTER the final merge so sort columns (possibly
     # derived expressions) stay available to every re-sort along the tree
     fin = (lambda t: head(t).select(columns)) if columns else head
-    return ray.data.from_arrow_refs([_merge_blocks.remote(fin, *refs)])
+    return ray.data.from_arrow_refs([merge_blocks.remote(fin, *refs)])
 
 
 def topn_per_group(ds: ray.data.Dataset, keys: list, order_by: list,

@@ -18,6 +18,8 @@ import ray.data
 
 from paradedb_ray.query import ast
 from paradedb_ray.schema import IndexSchema
+from paradedb_ray.stages.blocks import (chunk_refs, concat_blocks,
+                                        merge_blocks, tree_reduce_refs)
 from paradedb_ray.stages.search_stages import BatchScorer, compute_global_stats
 
 
@@ -53,28 +55,6 @@ def _apply_block(fn, *tabs):
         tabs, promote_options="default")
     return fn(tbl)
 
-
-def _chunk_refs(refs: list) -> list:
-    """Group block refs so raw-task count is O(CPUs), not O(blocks).
-
-    At the 100-TB design point a corpus pass yields 10^5-10^6 packet
-    blocks; one raw task per block puts a serial ~1 ms submission +
-    scheduling floor per block on the driver (the round-4 microbench:
-    2048 blocks cost 9.95 s of which the per-block task floor was the
-    growth term).  Chunking to ~4 tasks per CPU keeps every core busy
-    while the submission count stays flat in block count."""
-    target = 4 * int(ray.cluster_resources().get("CPU", 32))
-    group = max(1, -(-len(refs) // max(1, target)))
-    return [refs[i:i + group] for i in range(0, len(refs), group)]
-
-
-@ray.remote
-def _merge_blocks(fn, *tabs):
-    """Concat small blocks (schema-less empties dropped) and apply fn."""
-    import pyarrow as pa
-
-    keep = [t for t in tabs if t.num_rows] or list(tabs[:1])
-    return fn(pa.concat_tables(keep, promote_options="default"))
 
 SortKey = tuple  # (column, "ascending"|"descending"); "score" allowed
 
@@ -137,10 +117,6 @@ def _prune_columns(ds, schema: IndexSchema, query: ast.Query,
     if len(cols) < len(ds.schema().names):
         return ds.select_columns(cols)
     return ds
-
-
-def _needs_stats(q: ast.Query) -> bool:
-    return True
 
 
 def resolve_more_like_this(ds: ray.data.Dataset, schema: IndexSchema,
@@ -342,7 +318,7 @@ def _single_scan_scored(ds, schema: IndexSchema, queries: dict,
     # (integer sums: associative, bit-identical to a flat loop) — at the
     # 10^5-10^6 block counts of the 100-TB design point a serial driver
     # loop here would be the bottleneck.
-    chunks = _chunk_refs(packets.to_arrow_refs())
+    chunks = chunk_refs(packets.to_arrow_refs())
     stats = reduce_stats_partials(
         [_block_stats_leaf.remote(*ch) for ch in chunks])
 
@@ -439,11 +415,11 @@ def search_topk(
     # itself a growth term: chunk to O(CPUs) level-1 keeps first
     refs = scored.to_arrow_refs()
     empty_ref = ray.put(out_schema.empty_table())
-    chunks = _chunk_refs(refs)
+    chunks = chunk_refs(refs)
     if len(chunks) < len(refs):
-        refs = [_merge_blocks.remote(keep_rank, empty_ref, *ch)
+        refs = [merge_blocks.remote(keep_rank, empty_ref, *ch)
                 for ch in chunks]
-    merged = _merge_blocks.remote(merge_rank, empty_ref, *refs)
+    merged = merge_blocks.remote(merge_rank, empty_ref, *refs)
     return ray.data.from_arrow_refs([merged])
 
 
@@ -570,11 +546,11 @@ def search_topk_multi(
     # limit x |queries| rows and the result set is unchanged.
     refs = scored.to_arrow_refs()
     empty_ref = ray.put(out_schema.empty_table())
-    chunks = _chunk_refs(refs)
+    chunks = chunk_refs(refs)
     if len(chunks) < len(refs):
-        refs = [_merge_blocks.remote(all_queries_topk, empty_ref, *ch)
+        refs = [merge_blocks.remote(all_queries_topk, empty_ref, *ch)
                 for ch in chunks]
-    merged = _merge_blocks.remote(all_queries_topk, empty_ref, *refs)
+    merged = merge_blocks.remote(all_queries_topk, empty_ref, *refs)
     return ray.data.from_arrow_refs([merged])
 
 
@@ -633,7 +609,7 @@ def reciprocal_rank_fusion(
         return g.take(idx.slice(0, limit))
 
     refs = ranked.to_arrow_refs()
-    merged = _merge_blocks.remote(fuse, *refs)
+    merged = merge_blocks.remote(fuse, *refs)
     return ray.data.from_arrow_refs([merged])
 
 
@@ -720,16 +696,13 @@ def search_topk_with_facet(
     # because every element of the flat top-k is within its node's
     # top-limit and stable sorts preserve first-occurrence order among
     # equal keys.
-    from paradedb_ray.stages.search_stages import tree_reduce_refs
-
     helper_cols = ["__fv", "__fn", "__kind"]
 
     @ray.remote
     def merge_parts(*tabs: pa.Table) -> pa.Table:
         import pyarrow.compute as pcm
 
-        keep = [t for t in tabs if t.num_rows] or list(tabs[:1])
-        t = pa.concat_tables(keep, promote_options="default")
+        t = concat_blocks(tabs)
         if "__kind" not in t.column_names:
             return t
         kind = t.column("__kind")

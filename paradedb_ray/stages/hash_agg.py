@@ -44,6 +44,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from paradedb_ray.stages.blocks import cluster_cpus, concat_blocks
+
 
 #: above this many input blocks, neighbor blocks coalesce first so the
 #: stage-1 fan-out (B x P refs) stays bounded
@@ -52,8 +54,7 @@ _MAX_FANOUT_BLOCKS = 2048
 
 @ray.remote
 def _concat_blocks(*tabs) -> pa.Table:
-    keep = [t for t in tabs if t.num_rows] or list(tabs[:1])
-    return pa.concat_tables(keep, promote_options="default")
+    return concat_blocks(tabs)
 
 
 def _bounded_blocks(blocks: list) -> list:
@@ -65,6 +66,11 @@ def _bounded_blocks(blocks: list) -> list:
             for i in range(0, len(blocks), k)]
 
 
+def _num_partitions(n: Optional[int]) -> int:
+    """Reducer count: ``n`` if given, else one per cluster CPU in [2, 64]."""
+    return n if n is not None else max(2, min(64, cluster_cpus()))
+
+
 def _key_hash(tbl: pa.Table, key_cols: list) -> np.ndarray:
     """uint64 hash over the key column(s) — one vectorized pass each."""
     h = None
@@ -73,6 +79,19 @@ def _key_hash(tbl: pa.Table, key_cols: list) -> np.ndarray:
         hc = pd.util.hash_array(col)
         h = hc if h is None else (h * np.uint64(0x9E3779B97F4A7C15)) ^ hc
     return h
+
+
+def _hash_split(tbl: pa.Table, key_cols: list, P: int):
+    """Split ``tbl`` into ``P`` parts by key hash (every row of a key
+    lands in the same part); a single table when ``P == 1``."""
+    if tbl.num_rows == 0 or P == 1:
+        return tuple(tbl for _ in range(P)) if P > 1 else tbl
+    h = (_key_hash(tbl, key_cols) % np.uint64(P)).astype(np.int64)
+    order = np.argsort(h, kind="stable")
+    bounds = np.searchsorted(h[order], np.arange(P + 1))
+    idx = pa.array(order, pa.int64())
+    return tuple(tbl.take(idx.slice(bounds[p], bounds[p + 1] - bounds[p]))
+                 for p in range(P))
 
 
 @ray.remote
@@ -86,24 +105,13 @@ def _partial_split(tbl: pa.Table, key_cols: list, min_col: str, P: int,
     part = tbl.group_by(key_cols).aggregate(
         [(min_col, "min"), ([], "count_all")])
     # -> columns: key_cols + f"{min_col}_min" + "count_all"
-    if part.num_rows == 0:
-        return tuple(part for _ in range(P)) if P > 1 else part
-    h = (_key_hash(part, key_cols) % np.uint64(P)).astype(np.int64)
-    order = np.argsort(h, kind="stable")
-    sorted_h = h[order]
-    bounds = np.searchsorted(sorted_h, np.arange(P + 1))
-    idx = pa.array(order, pa.int64())
-    out = tuple(
-        part.take(idx.slice(bounds[p], bounds[p + 1] - bounds[p]))
-        for p in range(P))
-    return out if P > 1 else out[0]
+    return _hash_split(part, key_cols, P)
 
 
 @ray.remote
 def _final_merge(key_cols: list, min_col: str, only_colliding: bool,
                  min_alias: str, count_alias: str, *parts) -> pa.Table:
-    tabs = [p for p in parts if p.num_rows] or [parts[0]]
-    t = pa.concat_tables(tabs, promote_options="default")
+    t = concat_blocks(parts)
     out = t.group_by(key_cols).aggregate(
         [(f"{min_col}_min", "min"), ("count_all", "sum")])
     mn = out.column(f"{min_col}_min_min")
@@ -140,20 +148,12 @@ def _agg_partial_split(tbl: pa.Table, key_cols: list, specs: list, P: int,
         tbl = template
     part = tbl.group_by(key_cols).aggregate(
         [((c if c is not None else []), fn) for c, fn in specs])
-    if part.num_rows == 0 or P == 1:
-        return tuple(part for _ in range(P)) if P > 1 else part
-    h = (_key_hash(part, key_cols) % np.uint64(P)).astype(np.int64)
-    order = np.argsort(h, kind="stable")
-    bounds = np.searchsorted(h[order], np.arange(P + 1))
-    idx = pa.array(order, pa.int64())
-    return tuple(part.take(idx.slice(bounds[p], bounds[p + 1] - bounds[p]))
-                 for p in range(P))
+    return _hash_split(part, key_cols, P)
 
 
 @ray.remote
 def _agg_final(key_cols: list, specs: list, aggs: dict, *parts) -> pa.Table:
-    tabs = [p for p in parts if p.num_rows] or [parts[0]]
-    t = pa.concat_tables(tabs, promote_options="default")
+    t = concat_blocks(parts)
     combine = []
     for c, fn in specs:
         pname = f"{c}_{fn}" if c is not None else "count_all"
@@ -197,6 +197,40 @@ def _exec_blocks_schema(ds: ray.data.Dataset):
     return blocks, sch
 
 
+def _template(sch) -> pa.Table:
+    """Zero-row table with the input schema (stands in for Ray's
+    schema-less empty blocks in stage 1)."""
+    return pa.schema(
+        [pa.field(n, t) for n, t in zip(sch.names, sch.types)]).empty_table()
+
+
+def _shuffle(blocks: list, template: pa.Table, P: int, split, split_args,
+             final, final_args) -> list:
+    """The two stages over executed ``blocks``: per block
+    ``split.remote(block, *split_args, P, template)`` (``num_returns=P``),
+    then per partition ``final.remote(*final_args, *its parts)``.
+    Returns the ``P`` final refs."""
+    if not blocks:
+        blocks = [ray.put(template)]
+    split = split.options(num_returns=P if P > 1 else 1)
+    parts_per_block = [split.remote(b, *split_args, P, template)
+                       for b in blocks]
+    if P == 1:
+        parts_per_block = [[r] for r in parts_per_block]
+    return [final.remote(*final_args, *[pb[p] for pb in parts_per_block])
+            for p in range(P)]
+
+
+def _typed_input(ds: ray.data.Dataset, name: str):
+    """``(blocks, template)`` of an executed ``ds``; an input with no
+    schema at all (all-empty dataset) raises so the caller can fall back."""
+    blocks, sch = _exec_blocks_schema(ds)
+    if sch is None:
+        raise ValueError(f"{name}: input has no schema "
+                         "(all-empty dataset) — caller should fall back")
+    return blocks, _template(sch)
+
+
 def hash_group_aggregate(
     ds: ray.data.Dataset,
     key_cols: list,
@@ -209,38 +243,17 @@ def hash_group_aggregate(
     Partial math mirrors Ray's Mean exactly (total sum / total count), so
     results are bit-identical to the native groupby for the integer-valued
     columns the oracle entries aggregate."""
-    if num_partitions is None:
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            cpus = 8
-        num_partitions = max(2, min(64, cpus))
-    P = num_partitions
     specs: list = []
     for kind, col in aggs.values():
         for fn, needs_col in _PARTIALS[kind]:
             spec = (col if needs_col else None, fn)
             if spec not in specs:
                 specs.append(spec)
-    blocks, sch = _exec_blocks_schema(ds)
-    if sch is None:
-        raise ValueError("hash_group_aggregate: input has no schema "
-                         "(all-empty dataset) — caller should fall back")
-    template = pa.schema(
-        [pa.field(n, t) for n, t in zip(sch.names, sch.types)]).empty_table()
-    if not blocks:
-        blocks = [ray.put(template)]
-    split = _agg_partial_split.options(num_returns=P if P > 1 else 1)
-    parts_per_block = [split.remote(b, key_cols, specs, P, template)
-                       for b in blocks]
-    if P == 1:
-        parts_per_block = [[r] for r in parts_per_block]
-    finals = [
-        _agg_final.remote(key_cols, specs, aggs,
-                          *[pb[p] for pb in parts_per_block])
-        for p in range(P)
-    ]
-    return ray.data.from_arrow_refs(finals)
+    blocks, template = _typed_input(ds, "hash_group_aggregate")
+    return ray.data.from_arrow_refs(_shuffle(
+        blocks, template, _num_partitions(num_partitions),
+        _agg_partial_split, (key_cols, specs),
+        _agg_final, (key_cols, specs, aggs)))
 
 
 @ray.remote
@@ -251,40 +264,25 @@ def _distinct_split(tbl: pa.Table, key_cols: list, col: str, P: int,
     cols = key_cols + [col]
     if not all(c in tbl.column_names for c in cols):
         tbl = template
-    part = tbl.select(cols).group_by(cols).aggregate([])
-    if part.num_rows == 0 or P == 1:
-        return tuple(part for _ in range(P)) if P > 1 else part
-    h = (_key_hash(part, cols) % np.uint64(P)).astype(np.int64)
-    order = np.argsort(h, kind="stable")
-    bounds = np.searchsorted(h[order], np.arange(P + 1))
-    idx = pa.array(order, pa.int64())
-    return tuple(part.take(idx.slice(bounds[p], bounds[p + 1] - bounds[p]))
-                 for p in range(P))
+    return _hash_split(tbl.select(cols).group_by(cols).aggregate([]),
+                       cols, P)
 
 
 @ray.remote
-def _rows_split(tbl: pa.Table, key_cols: list, P: int, template: pa.Table,
-                pre_fn):
+def _rows_split(tbl: pa.Table, key_cols: list, pre_fn, P: int,
+                template: pa.Table):
     """Split full rows by key hash into P parts, after an optional
     block-local shrink (``pre_fn``, e.g. a local dedup)."""
     if not all(c in tbl.column_names for c in key_cols):
         tbl = template
     if pre_fn is not None:
         tbl = pre_fn(tbl)
-    if tbl.num_rows == 0 or P == 1:
-        return tuple(tbl for _ in range(P)) if P > 1 else tbl
-    h = (_key_hash(tbl, key_cols) % np.uint64(P)).astype(np.int64)
-    order = np.argsort(h, kind="stable")
-    bounds = np.searchsorted(h[order], np.arange(P + 1))
-    idx = pa.array(order, pa.int64())
-    return tuple(tbl.take(idx.slice(bounds[p], bounds[p + 1] - bounds[p]))
-                 for p in range(P))
+    return _hash_split(tbl, key_cols, P)
 
 
 @ray.remote
 def _apply_final(reduce_fn, *parts) -> pa.Table:
-    tabs = [p for p in parts if p.num_rows] or [parts[0]]
-    return reduce_fn(pa.concat_tables(tabs, promote_options="default"))
+    return reduce_fn(concat_blocks(parts))
 
 
 def hash_partition_apply(
@@ -298,36 +296,15 @@ def hash_partition_apply(
     key hash (every row of a key meets in ONE reducer), each reducer runs
     ``reduce_fn(pa.Table) -> pa.Table``.  ``pre_fn`` shrinks blocks before
     the all-to-all (the combiner slot)."""
-    if num_partitions is None:
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            cpus = 8
-        num_partitions = max(2, min(64, cpus))
-    P = num_partitions
-    blocks, sch = _exec_blocks_schema(ds)
-    if sch is None:
-        raise ValueError("hash_partition_apply: input has no schema")
-    template = pa.schema(
-        [pa.field(n, t) for n, t in zip(sch.names, sch.types)]).empty_table()
-    if not blocks:
-        blocks = [ray.put(template)]
-    split = _rows_split.options(num_returns=P if P > 1 else 1)
-    parts_per_block = [split.remote(b, key_cols, P, template, pre_fn)
-                       for b in blocks]
-    if P == 1:
-        parts_per_block = [[r] for r in parts_per_block]
-    finals = [_apply_final.remote(reduce_fn,
-                                  *[pb[p] for pb in parts_per_block])
-              for p in range(P)]
-    return ray.data.from_arrow_refs(finals)
+    blocks, template = _typed_input(ds, "hash_partition_apply")
+    return ray.data.from_arrow_refs(_shuffle(
+        blocks, template, _num_partitions(num_partitions),
+        _rows_split, (key_cols, pre_fn), _apply_final, (reduce_fn,)))
 
 
 @ray.remote
 def _unique_final(cols: list, *parts) -> pa.Table:
-    tabs = [p for p in parts if p.num_rows] or [parts[0]]
-    t = pa.concat_tables(tabs, promote_options="default")
-    return t.group_by(cols).aggregate([])
+    return concat_blocks(parts).group_by(cols).aggregate([])
 
 
 def hash_distinct(
@@ -339,35 +316,17 @@ def hash_distinct(
     unique -> tuple-hash split -> per-part unique.  Each distinct tuple
     lands in exactly one reducer, so the union of reducer outputs IS the
     distinct set."""
-    if num_partitions is None:
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            cpus = 8
-        num_partitions = max(2, min(64, cpus))
-    P = num_partitions
-    blocks, sch = _exec_blocks_schema(ds)
-    if sch is None:
-        raise ValueError("hash_distinct: input has no schema")
-    template = pa.schema(
-        [pa.field(n, t) for n, t in zip(sch.names, sch.types)]).empty_table()
-    if not blocks:
-        blocks = [ray.put(template)]
-    split = _distinct_split.options(num_returns=P if P > 1 else 1)
-    parts_per_block = [split.remote(b, columns[:-1], columns[-1], P, template)
-                       for b in blocks]
-    if P == 1:
-        parts_per_block = [[r] for r in parts_per_block]
-    finals = [_unique_final.remote(columns, *[pb[p] for pb in parts_per_block])
-              for p in range(P)]
-    return ray.data.from_arrow_refs(finals)
+    blocks, template = _typed_input(ds, "hash_distinct")
+    return ray.data.from_arrow_refs(_shuffle(
+        blocks, template, _num_partitions(num_partitions),
+        _distinct_split, (columns[:-1], columns[-1]),
+        _unique_final, (columns,)))
 
 
 @ray.remote
 def _distinct_final(key_cols: list, col: str, alias: str,
                     *parts) -> pa.Table:
-    tabs = [p for p in parts if p.num_rows] or [parts[0]]
-    t = pa.concat_tables(tabs, promote_options="default")
+    t = concat_blocks(parts)
     cols = key_cols + [col]
     d = t.group_by(cols).aggregate([])
     if not key_cols:
@@ -393,33 +352,13 @@ def hash_distinct_count(
     """COUNT(DISTINCT col) [GROUP BY key_cols] as a two-stage hash
     distinct: block-local dedup -> tuple-hash split -> per-part dedup;
     the per-key partial counts (tiny) combine in one final pass."""
-    if num_partitions is None:
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            cpus = 8
-        num_partitions = max(2, min(64, cpus))
-    P = num_partitions
-    blocks, sch = _exec_blocks_schema(ds)
-    if sch is None:
-        raise ValueError("hash_distinct_count: input has no schema")
-    template = pa.schema(
-        [pa.field(n, t) for n, t in zip(sch.names, sch.types)]).empty_table()
-    if not blocks:
-        blocks = [ray.put(template)]
-    split = _distinct_split.options(num_returns=P if P > 1 else 1)
-    parts_per_block = [split.remote(b, key_cols, col, P, template)
-                       for b in blocks]
-    if P == 1:
-        parts_per_block = [[r] for r in parts_per_block]
-    finals = ray.get([
-        _distinct_final.remote(key_cols, col, alias,
-                               *[pb[p] for pb in parts_per_block])
-        for p in range(P)
-    ])
+    blocks, template = _typed_input(ds, "hash_distinct_count")
+    finals = ray.get(_shuffle(
+        blocks, template, _num_partitions(num_partitions),
+        _distinct_split, (key_cols, col),
+        _distinct_final, (key_cols, col, alias)))
     # combine the tiny per-part tables (partial counts per key)
-    t = pa.concat_tables([f for f in finals if f.num_rows]
-                         or [finals[0]], promote_options="default")
+    t = concat_blocks(finals)
     if key_cols:
         g = t.group_by(key_cols).aggregate([(alias, "sum")])
         out = pa.table({**{k: g.column(k) for k in key_cols},
@@ -442,30 +381,15 @@ def grouped_min_count(
     """GROUP BY ``key_cols`` -> (min(min_col), count(*)) as a two-stage
     hash aggregate; with ``only_colliding`` only groups with >1 row
     survive (the LSH candidate shape)."""
-    if num_partitions is None:
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            cpus = 8
-        num_partitions = max(2, min(64, cpus))
-    P = num_partitions
     blocks, sch = _exec_blocks_schema(ds)
-    template = pa.schema(
-        [pa.field(n, t) for n, t in zip(sch.names, sch.types)]).empty_table()
+    template = _template(sch)
     if not blocks:
         empty = pa.table({**{c: pa.array([], pa.string()) for c in key_cols},
                           min_alias: pa.array([], pa.int64()),
                           count_alias: pa.array([], pa.int64())})
         return ray.data.from_arrow(empty)
-    split = _partial_split.options(num_returns=P if P > 1 else 1)
-    parts_per_block = [split.remote(b, key_cols, min_col, P, template)
-                       for b in blocks]
-    if P == 1:
-        parts_per_block = [[r] for r in parts_per_block]
-    finals = [
-        _final_merge.remote(key_cols, min_col, only_colliding,
-                            min_alias, count_alias,
-                            *[pb[p] for pb in parts_per_block])
-        for p in range(P)
-    ]
-    return ray.data.from_arrow_refs(finals)
+    return ray.data.from_arrow_refs(_shuffle(
+        blocks, template, _num_partitions(num_partitions),
+        _partial_split, (key_cols, min_col),
+        _final_merge, (key_cols, min_col, only_colliding,
+                       min_alias, count_alias)))

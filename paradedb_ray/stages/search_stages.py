@@ -31,6 +31,7 @@ from paradedb_ray.index.searcher import GlobalStats, Searcher
 from paradedb_ray.index.segment import build_segment
 from paradedb_ray.query import ast
 from paradedb_ray.schema import IndexSchema, NUMERIC, TEXT, KEYWORD, JSON
+from paradedb_ray.stages.blocks import tree_reduce_refs
 
 
 # ---------------------------------------------------------------------------
@@ -310,24 +311,6 @@ class StatsCollector:
                             cnt = 0
                     g.term_df[(full, t)] = cnt
         return pa.table({"partial": pa.array([pickle.dumps(g)], pa.binary())})
-
-
-#: tree-reduce fan-in for partial merges — depth is log32(B), so 10^6
-#: blocks reduce in 4 task waves instead of a 10^6-iteration driver loop
-_TREE_FANIN = 32
-
-
-def tree_reduce_refs(refs: list, merge_remote, *merge_args) -> list:
-    """Generic O(log B) tree-reduce over object refs: repeatedly merge
-    ``_TREE_FANIN`` neighbors (IN ORDER, so stable downstream sorts see
-    the same element order as a flat concat) until one ref remains.
-    ``merge_remote`` is a ``ray.remote`` fn called as
-    ``merge_remote.remote(*merge_args, *children)``.  Returns the list
-    (possibly empty) with a single surviving ref."""
-    while len(refs) > 1:
-        refs = [merge_remote.remote(*merge_args, *refs[i: i + _TREE_FANIN])
-                for i in range(0, len(refs), _TREE_FANIN)]
-    return refs
 
 
 @ray.remote

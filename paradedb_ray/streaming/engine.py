@@ -41,6 +41,7 @@ import ray
 from paradedb_ray.query import ast
 from paradedb_ray.schema import IndexSchema
 from paradedb_ray.index.searcher import GlobalStats
+from paradedb_ray.stages.blocks import collect_table, concat_blocks
 from paradedb_ray.stages.search_stages import collect_stat_requests
 from paradedb_ray.streaming.state_store import Bm25PartitionStore, _key_hash
 
@@ -52,6 +53,9 @@ def _stable_hash_strings(vals: np.ndarray) -> np.ndarray:
 
 
 from paradedb_ray.config import DEFAULT as _CFG
+
+#: an all-empty cross-partition result is ``pa.table({})`` (no columns)
+_NO_COLUMNS = pa.schema([])
 
 
 @dataclass
@@ -245,28 +249,6 @@ class StreamEngine:
 
     # -- partitioning -------------------------------------------------------
 
-    def _partition_of(self, conv: np.ndarray, turn: np.ndarray):
-        """hash(conv) % P, with hot conversations salted by turn_idx so one
-        conversation cannot overflow a single actor (SURVEY §7 hard part 6).
-
-        Returns ``(part, base)``: the routed partition and the unsalted home
-        partition (they differ only for hot conversations; the home partition
-        then needs a retraction for re-arriving keys, since a stale copy of
-        the key may live there from before the conversation turned hot)."""
-        P = self.cfg.num_partitions
-        h = _stable_hash_strings(conv)
-        base = (h % np.uint64(P)).astype(np.int64)
-        part = base.copy()
-        if self.hot:
-            hot_mask = np.fromiter((c in self.hot for c in conv), dtype=bool,
-                                   count=len(conv))
-            if hot_mask.any():
-                salt = (turn.astype(np.int64) % self.cfg.salt_k)
-                part[hot_mask] = ((h[hot_mask].astype(np.int64)
-                                   + salt[hot_mask] * np.int64(2654435761))
-                                  % P)
-        return part, base
-
     # -- ingest -------------------------------------------------------------
 
     def ingest(self, source, epoch=None, max_inflight: int = 4,
@@ -436,10 +418,9 @@ class StreamEngine:
                          for a in self.actors])
         if thr is not None:
             thr.clear.remote(qid)
-        parts = [p for p in parts if p.num_rows]
-        if not parts:
-            return pa.table({})
-        out = pa.concat_tables(parts, promote_options="default")
+        out = concat_blocks(parts, _NO_COLUMNS)
+        if not out.num_rows:
+            return out
         import pyarrow.compute as pc
 
         sort_keys = ([("score", "descending")] if with_score else []) + [
@@ -534,10 +515,9 @@ class StreamEngine:
                                                         np.float32),
                                       op, k, fp, sp, columns)
                          for a in self.actors])
-        parts = [p for p in parts if p.num_rows]
-        if not parts:
-            return pa.table({})
-        out = pa.concat_tables(parts, promote_options="default")
+        out = concat_blocks(parts, _NO_COLUMNS)
+        if not out.num_rows:
+            return out
         import pyarrow.compute as pc
 
         keys = [c for c in self.cfg.key_cols if c in out.column_names]
@@ -552,12 +532,8 @@ class StreamEngine:
             query = ast.Parse(query)
         stats = self.global_stats(query)
         qp, sp = pickle.dumps(query), pickle.dumps(stats)
-        parts = ray.get([a.match_table.remote(qp, sp, columns)
-                         for a in self.actors])
-        parts = [p for p in parts if p.num_rows]
-        if not parts:
-            return pa.table({})
-        return pa.concat_tables(parts, promote_options="default")
+        return concat_blocks(ray.get([a.match_table.remote(qp, sp, columns)
+                                      for a in self.actors]), _NO_COLUMNS)
 
     def facet(self, query: Union[ast.Query, str], field: str) -> pa.Table:
         """Terms facet over the standing match set: per-partition partials
@@ -1009,11 +985,8 @@ class EpochRunner:
             reducer = _pattern_reducer(sess_ref, steps, emit, w_us,
                                        conv_col, turn_col, ts_col,
                                        out_schema)
-            tabs = [t for t in ray.get(hash_partition_apply(
-                        ds, [conv_col], reducer).to_arrow_refs())
-                    if t.num_rows]
-            out = (pa.concat_tables(tabs, promote_options="default")
-                   if tabs else out_schema.empty_table())
+            out = collect_table(
+                hash_partition_apply(ds, [conv_col], reducer), out_schema)
             # tombstones: sessions closed THIS epoch with zero matches.
             # Without them, a late-arrival re-close whose inserted turn
             # BREAKS a previously-emitted match could never void it —
@@ -1076,14 +1049,6 @@ class EpochRunner:
         df = df[(df["epoch"] == last) & df["__match"]]
         df = df.drop(columns=["__match"]).reset_index(drop=True)
         return pa.Table.from_pandas(df, preserve_index=False)
-
-    def read_result(self, name: str) -> pa.Table:
-        """Latest-epoch view of a standing query's emissions."""
-        d = os.path.join(self.sink_dir, name)
-        files = sorted(f for f in os.listdir(d) if f.endswith(".parquet"))
-        if not files:
-            return pa.table({})
-        return pq.read_table(os.path.join(d, files[-1]))
 
     def read_facet(self, name: str) -> pa.Table:
         """Latest-epoch view of a facet's emissions."""

@@ -125,17 +125,6 @@ def _verb_s2c(a) -> bool:
     return False
 
 
-def _verb_section(a) -> bool:
-    if not a.is_verb:
-        return False
-    if _commit(a, _VERB1):
-        _verb_s2a(a)
-        return True
-    if _verb_s2b(a):
-        return True
-    return _verb_s2a(a)
-
-
 def _noun_s1b(a) -> bool:
     if a.w.endswith("ن") and len(a.w) > 5:
         a.w = a.w[:-1]
@@ -195,63 +184,6 @@ def _prefix_s1(a) -> bool:
                       ("أا", "ا"), ("أإ", "إ")):
         if w.startswith(pre):
             a.w = repl + w[2:]
-            return True
-    return False
-
-
-def _prefix_s2(a) -> bool:
-    w = a.w
-    if len(w) > 3 and w[0] in "فو" and w[1] != "ا":
-        a.w = w[1:]
-        return True
-    return False
-
-
-def _prefix_s3a_noun(a) -> bool:
-    w = a.w
-    if w.startswith(("بال", "كال")) and len(w) > 5:
-        a.w = w[3:]
-        return True
-    if w.startswith(("ال", "لل")) and len(w) > 4:
-        a.w = w[2:]
-        return True
-    return False
-
-
-def _prefix_s3b_noun(a) -> bool:
-    w = a.w
-    if w.startswith("با"):
-        return False
-    if w.startswith("بب") and len(w) > 4:
-        a.w = "ب" + w[2:]
-        return True
-    if w.startswith("كك") and len(w) > 4:
-        a.w = "ك" + w[2:]
-        return True
-    if w.startswith("ب") and len(w) > 4:
-        a.w = w[1:]
-        return True
-    return False
-
-
-def _prefix_s3_verb(a) -> bool:
-    w = a.w
-    if len(w) <= 4:
-        return False
-    for pre, repl in (("سي", "ي"), ("ست", "ت"), ("سن", "ن"), ("سأ", "أ")):
-        if w.startswith(pre):
-            a.w = repl + w[2:]
-            return True
-    return False
-
-
-def _prefix_s4_verb(a) -> bool:
-    w = a.w
-    if len(w) <= 4:
-        return False
-    for pre in ("يست", "نست", "تست"):
-        if w.startswith(pre):
-            a.w = "است" + w[3:]
             return True
     return False
 

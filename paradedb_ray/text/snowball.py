@@ -8,17 +8,17 @@ generated code derives from); where the prose is ambiguous (among
 commit-vs-region semantics, per-entry result actions) the suffix tables
 of the official Snowball-generated code were consulted directly.
 English (Porter2) lives in ``stemmer.py``, Turkish in ``turkish.py``,
-Greek in ``greek.py``, Arabic in ``arabic.py``; this module adds German,
-French, Spanish, Italian, Portuguese, Russian, Danish, Norwegian,
-Swedish, Dutch, Finnish, Hungarian and Romanian.
+Greek in ``greek.py``, Arabic in ``arabic.py``, Tamil in ``tamil.py``;
+this module adds German, French, Spanish, Italian, Portuguese, Russian,
+Danish, Norwegian, Swedish, Dutch, Finnish, Hungarian and Romanian.
 
 Every implemented language is verified BIT-EXACT against the official
 Snowball implementation (PostgreSQL 15's snowball dictionaries) on
 8-16k fuzz+suffix vectors; 120 oracle pairs per language are baked into
 ``tests/test_snowball_goldens.py``.  The reference regress corpus only
-exercises ``stemmer=english`` (`test_tokenizer_params.sql`).  The one
-rust-stemmers language NOT implemented (Tamil) still raises a clear
-error from ``stemmer_for``.
+exercises ``stemmer=english`` (`test_tokenizer_params.sql`).  All 18
+rust-stemmers languages are implemented; an unknown language name
+raises a clear error from ``stemmer_for``.
 """
 
 from __future__ import annotations

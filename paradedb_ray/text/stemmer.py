@@ -26,10 +26,6 @@ _EXCEPTIONS2 = {
 }
 
 
-def _is_vowel(word: str, i: int) -> bool:
-    return word[i] in _VOWELS
-
-
 def _mark_ys(word: str) -> str:
     chars = list(word)
     if chars and chars[0] == "y":

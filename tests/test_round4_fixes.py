@@ -351,13 +351,13 @@ def test_chunk_refs_tracks_cpus_not_blocks(ray_session):
     # At high block counts the packet path groups refs so raw-task count
     # is O(CPUs); at low counts it stays one-ref-per-chunk (no behavior
     # change at test scale).
-    from paradedb_ray.pipelines.search import _chunk_refs
+    from paradedb_ray.stages.blocks import chunk_refs
 
     target = 4 * int(ray.cluster_resources().get("CPU", 32))
     refs = list(range(8))
-    assert _chunk_refs(refs) == [[r] for r in refs]
+    assert chunk_refs(refs) == [[r] for r in refs]
     refs = list(range(10 * target + 3))
-    chunks = _chunk_refs(refs)
+    chunks = chunk_refs(refs)
     assert len(chunks) <= target + 1
     assert [x for ch in chunks for x in ch] == refs
 

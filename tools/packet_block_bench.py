@@ -5,7 +5,7 @@ increasing block counts on a fixed CPU budget.  At the 100-TB design
 point a corpus pass is 10^5-10^6 blocks; this measures the per-block
 overhead floor of the packet path (map task + raw-task submissions),
 which round 4 cut by chunking the post-packet raw tasks to O(CPUs)
-submissions (`pipelines/search.py::_chunk_refs`).
+submissions (`stages/blocks.py::chunk_refs`).
 
 Usage: python tools/packet_block_bench.py [block_counts...]
 """
