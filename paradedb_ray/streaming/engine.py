@@ -11,11 +11,18 @@ The Ray-native re-imagining of pg_search's index as a CEP pipeline
   reference searches many segments (`index/reader/index.rs:223-300`).
 * ``advance_watermark(wm)`` — session-window close on watermark expiry;
   returns closed-session summary rows.
-* ``query_topk`` / ``query_matches`` — two-phase: a global stats exchange
-  (per-partition partial ``GlobalStats`` merged on the driver — BM25's
-  searcher-global N / df / avgdl, SURVEY §5) then per-partition top-k and a
-  driver merge-rank, mirroring per-segment collectors + shared-threshold
-  merge (`scan/segmented_topk_exec.rs`).
+* ``evaluate(specs)`` — every standing query and facet of an epoch in
+  exactly two rounds of actor calls, whatever their count: ONE global
+  stats exchange over the union of their stat requests (per-partition
+  partial ``GlobalStats`` merged on the driver — BM25's searcher-global
+  N / df / avgdl, SURVEY §5; exact per query, since the stats are keyed
+  per field and per (field, term)), then ONE ``evaluate`` call per
+  partition actor returning every query's local top-k head and every
+  facet's partial counts, and a driver merge-rank — mirroring
+  per-segment collectors (`scan/segmented_topk_exec.rs`).  Each actor
+  prunes with a partition-local k-th-best threshold taken over LIVE hits
+  only (after visibility), so a superseded copy never prunes a live row.
+  ``query_topk`` / ``query_matches`` / ``facet`` are one-entry calls.
 * ``checkpoint / restore`` — per-partition manifest + segment payloads;
   epoch-tagged, idempotent, resumable.
 * ``EpochRunner`` — micro-batch driver with an **exactly-once sink**:
@@ -43,7 +50,11 @@ from paradedb_ray.schema import IndexSchema
 from paradedb_ray.index.searcher import GlobalStats
 from paradedb_ray.stages.blocks import collect_table, concat_blocks
 from paradedb_ray.stages.search_stages import collect_stat_requests
-from paradedb_ray.streaming.state_store import Bm25PartitionStore, _key_hash
+from paradedb_ray.streaming.state_store import (
+    Bm25PartitionStore,
+    EvalSpec,
+    _key_hash,
+)
 
 
 def _stable_hash_strings(vals: np.ndarray) -> np.ndarray:
@@ -56,6 +67,10 @@ from paradedb_ray.config import DEFAULT as _CFG
 
 #: an all-empty cross-partition result is ``pa.table({})`` (no columns)
 _NO_COLUMNS = pa.schema([])
+
+
+def _as_query(query: Union[ast.Query, str]) -> ast.Query:
+    return ast.Parse(query) if isinstance(query, str) else query
 
 
 @dataclass
@@ -234,21 +249,6 @@ class StreamEngine:
         self._arr_next = base + n_rows
         return base
 
-    def _threshold_actor(self):
-        """Lazy shared top-k threshold actor (`shared_threshold.rs:1-250`
-        analogue): one per engine, reused across queries via query ids."""
-        if getattr(self, "_thr_actor", None) is None:
-            from paradedb_ray.streaming.state_store import TopKThresholdActor
-
-            self._thr_actor = TopKThresholdActor.remote()
-        return self._thr_actor
-
-    def _next_qid(self) -> int:
-        self._qid = getattr(self, "_qid", 0) + 1
-        return self._qid
-
-    # -- partitioning -------------------------------------------------------
-
     # -- ingest -------------------------------------------------------------
 
     def ingest(self, source, epoch=None, max_inflight: int = 4,
@@ -391,10 +391,16 @@ class StreamEngine:
 
     # -- query --------------------------------------------------------------
 
-    def global_stats(self, query: ast.Query) -> GlobalStats:
+    def global_stats(self, *queries: ast.Query) -> GlobalStats:
         """The cross-partition stats exchange (barrier reduce of tiny
-        partials)."""
-        req = collect_stat_requests(query, self.schema)
+        partials) over the union of the queries' stat requests.  BM25
+        stays exact for each query: the stats are keyed per field and per
+        (field, term), so extra entries never change a lookup."""
+        req = {"terms": set(), "fields": set()}
+        for q in queries:
+            r = collect_stat_requests(q, self.schema)
+            req["terms"] |= r["terms"]
+            req["fields"] |= r["fields"]
         rp = pickle.dumps(req)
         partials = ray.get([a.stats_partial.remote(rp) for a in self.actors])
         g = GlobalStats()
@@ -402,31 +408,52 @@ class StreamEngine:
             g.merge(pickle.loads(p))
         return g
 
+    def evaluate(self, specs: list) -> list:
+        """Answer every :class:`EvalSpec` in two rounds of actor calls,
+        whatever their count: ONE stats exchange over the union of their
+        stat requests, then ONE ``evaluate`` call per partition actor.
+        Per spec: the merge-ranked table (score desc then key asc, cut to
+        ``k``), or for a facet the terms table (count desc then value
+        asc, pg_search facet semantics, `aggregate/mod.rs` terms agg)."""
+        import pyarrow.compute as pc
+
+        stats = self.global_stats(*[s.query for s in specs])
+        sp, stp = pickle.dumps(specs), pickle.dumps(stats)
+        per_actor = ray.get([a.evaluate.remote(sp, stp)
+                             for a in self.actors])
+        out = []
+        for i, spec in enumerate(specs):
+            parts = [p[i] for p in per_actor]
+            if spec.facet_field:
+                counts: dict = {}
+                for p in parts:
+                    for v, n in p.items():
+                        counts[v] = counts.get(v, 0) + n
+                items = sorted(counts.items(),
+                               key=lambda kv: (-kv[1], str(kv[0])))
+                out.append(pa.table({
+                    spec.facet_field: pa.array([v for v, _ in items]),
+                    "doc_count": pa.array([n for _, n in items], pa.int64()),
+                }))
+                continue
+            t = concat_blocks(parts, _NO_COLUMNS)
+            if t.num_rows:
+                sort_keys = ([("score", "descending")] if spec.with_score
+                             else []) + [(c, "ascending")
+                                         for c in self.cfg.key_cols]
+                idx = pc.sort_indices(t, sort_keys=sort_keys)
+                t = t.take(idx if spec.k is None else idx.slice(0, spec.k))
+            if spec.columns:
+                t = t.select([c for c in spec.columns if c in t.column_names])
+            out.append(t)
+        return out
+
     def query_topk(self, query: Union[ast.Query, str], k: int = 10,
                    columns: Optional[list] = None,
                    with_score: bool = True,
                    snippet_cfg=None) -> pa.Table:
-        if isinstance(query, str):
-            query = ast.Parse(query)
-        stats = self.global_stats(query)
-        qp, sp = pickle.dumps(query), pickle.dumps(stats)
-        scp = pickle.dumps(snippet_cfg) if snippet_cfg is not None else None
-        thr = self._threshold_actor() if with_score else None
-        qid = self._next_qid()
-        parts = ray.get([a.topk.remote(qp, sp, k, with_score, columns, scp,
-                                       thr, qid)
-                         for a in self.actors])
-        if thr is not None:
-            thr.clear.remote(qid)
-        out = concat_blocks(parts, _NO_COLUMNS)
-        if not out.num_rows:
-            return out
-        import pyarrow.compute as pc
-
-        sort_keys = ([("score", "descending")] if with_score else []) + [
-            (c, "ascending") for c in self.cfg.key_cols if c in out.column_names]
-        idx = pc.sort_indices(out, sort_keys=sort_keys)
-        return out.take(idx.slice(0, k))
+        return self.evaluate([EvalSpec(_as_query(query), k, with_score,
+                                       columns, snippet_cfg)])[0]
 
     def verify_index(self, heapallindexed: bool = False,
                      index_name: str = "bm25_index") -> pa.Table:
@@ -506,8 +533,7 @@ class StreamEngine:
         streaming analogue of `WHERE ... @@@ ... ORDER BY vec <op> q
         LIMIT k` (`vector_search_pushdown.sql`).  Sees the mutable
         buffers, respects upsert/delete visibility, survives merges."""
-        if isinstance(filter_query, str):
-            filter_query = ast.Parse(filter_query)
+        filter_query = _as_query(filter_query)
         fp = pickle.dumps(filter_query) if filter_query is not None else None
         sp = (pickle.dumps(self.global_stats(filter_query))
               if filter_query is not None else None)
@@ -528,32 +554,13 @@ class StreamEngine:
     def query_matches(self, query: Union[ast.Query, str],
                       columns: Optional[list] = None) -> pa.Table:
         """Full match set across partitions (standing-query emission)."""
-        if isinstance(query, str):
-            query = ast.Parse(query)
-        stats = self.global_stats(query)
-        qp, sp = pickle.dumps(query), pickle.dumps(stats)
-        return concat_blocks(ray.get([a.match_table.remote(qp, sp, columns)
-                                      for a in self.actors]), _NO_COLUMNS)
+        return self.evaluate([EvalSpec(_as_query(query),
+                                       columns=columns)])[0]
 
     def facet(self, query: Union[ast.Query, str], field: str) -> pa.Table:
-        """Terms facet over the standing match set: per-partition partials
-        merged on the driver, count desc then value asc (pg_search facet
-        semantics, `aggregate/mod.rs` terms agg)."""
-        if isinstance(query, str):
-            query = ast.Parse(query)
-        stats = self.global_stats(query)
-        qp, sp = pickle.dumps(query), pickle.dumps(stats)
-        partials = ray.get([a.facet_partial.remote(qp, sp, field)
-                            for a in self.actors])
-        counts: dict = {}
-        for p in partials:
-            for v, n in p.items():
-                counts[v] = counts.get(v, 0) + n
-        items = sorted(counts.items(), key=lambda kv: (-kv[1], str(kv[0])))
-        return pa.table({
-            field: pa.array([v for v, _ in items]),
-            "doc_count": pa.array([n for _, n in items], pa.int64()),
-        })
+        """Terms facet over the standing match set."""
+        return self.evaluate([EvalSpec(_as_query(query),
+                                       facet_field=field)])[0]
 
     def metrics(self) -> list:
         return ray.get([a.metrics.remote() for a in self.actors])
@@ -603,9 +610,6 @@ class StreamEngine:
         for a in self.actors:
             ray.kill(a)
         self.actors = []
-        if getattr(self, "_thr_actor", None) is not None:
-            ray.kill(self._thr_actor)
-            self._thr_actor = None
 
 
 # ---------------------------------------------------------------------------
@@ -874,9 +878,16 @@ class EpochRunner:
                                        f"epoch={epoch:06d}.parquet"))
         if self.patterns:
             self._emit_patterns(epoch, sessions, table.schema)
-        for name, q in self.standing.items():
-            res = eng.query_topk(q, self.topk, columns=self.columns,
-                                 snippet_cfg=self.snippet_cfg)
+        # every standing query and facet of the epoch: one stats exchange
+        # and one evaluate call per partition actor, whatever their count
+        specs = [EvalSpec(_as_query(q), self.topk, columns=self.columns,
+                          snippet_cfg=self.snippet_cfg)
+                 for q in self.standing.values()]
+        specs += [EvalSpec(_as_query(fq), facet_field=ffield)
+                  for fq, ffield in self.facets.values()]
+        results = eng.evaluate(specs) if specs else []
+        n_standing = len(self.standing)
+        for name, res in zip(self.standing, results[:n_standing]):
             if res.num_rows == 0:
                 res = pa.table({"epoch": pa.array([], pa.int64())})
             else:
@@ -885,8 +896,7 @@ class EpochRunner:
             _write_atomic_parquet(
                 res, os.path.join(self.sink_dir, name,
                                   f"epoch={epoch:06d}.parquet"))
-        for name, (fq, ffield) in self.facets.items():
-            ft = eng.facet(fq, ffield)
+        for name, ft in zip(self.facets, results[n_standing:]):
             ft = ft.append_column("epoch",
                                   pa.array([epoch] * ft.num_rows, pa.int64()))
             # facets live under their own namespace: a facet named like a

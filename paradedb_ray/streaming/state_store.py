@@ -33,13 +33,15 @@ from __future__ import annotations
 import json
 import os
 import pickle
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pyarrow as pa
 
 import ray
 
-from paradedb_ray.index.searcher import GlobalStats, Searcher
+from paradedb_ray.index.searcher import GlobalStats, Hits, Searcher
 from paradedb_ray.index.segment import Segment, build_segment
 from paradedb_ray.schema import IndexSchema
 
@@ -78,32 +80,19 @@ def _key_hash(conv: np.ndarray, turn: np.ndarray) -> np.ndarray:
     return h * np.int64(1_000_003) + turn.astype(np.int64)
 
 
-@ray.remote(num_cpus=0)
-class TopKThresholdActor:
-    """Cooperative top-k threshold shared by the partition stores during
-    one query — the analogue of pg_search's shared threshold between
-    parallel workers (`postgres/shared_threshold.rs:1-250`).  Each store
-    offers its candidate scores after scoring a segment and gets back the
-    current global k-th-best score; subsequent segments drop hits below
-    it BEFORE materializing rows/snippets.  Keyed by query id so
-    concurrent queries don't interfere."""
+@dataclass
+class EvalSpec:
+    """One request of an epoch's shared evaluation
+    (:meth:`Bm25PartitionStore.evaluate`): the ``k`` best hits by score
+    desc then key asc (``k=None``: every match), or, with
+    ``facet_field``, that field's value counts over the matches."""
 
-    def __init__(self):
-        self.state: dict = {}
-
-    def offer(self, qid: int, k: int, scores: list) -> float:
-        import heapq
-
-        h = self.state.setdefault(qid, [])
-        for s in scores:
-            if len(h) < k:
-                heapq.heappush(h, s)
-            elif s > h[0]:
-                heapq.heapreplace(h, s)
-        return h[0] if len(h) >= k else float("-inf")
-
-    def clear(self, qid: int):
-        self.state.pop(qid, None)
+    query: object
+    k: Optional[int] = None
+    with_score: bool = True
+    columns: Optional[list] = None
+    snippet_cfg: object = None
+    facet_field: Optional[str] = None
 
 
 @ray.remote
@@ -126,6 +115,9 @@ class Bm25PartitionStore:
 
         self.mutable: list = []          # list[pa.Table]
         self.mutable_count = 0
+        # the buffer's searchable segment, built on first query and
+        # dropped whenever ``mutable`` changes
+        self._mutable_seg = None
         self.sealed: list = []           # list[Segment]
         # key hash -> __seq of the LIVE copy; a stored row is visible iff
         # live_seq[key] == row.__seq (MVCC-style visibility, one dict per
@@ -375,6 +367,7 @@ class Bm25PartitionStore:
     def _ingest_finish(self, table: pa.Table, n_late: int) -> dict:
         self.mutable.append(table)
         self.mutable_count += table.num_rows
+        self._mutable_seg = None
         self.metrics_["ingested"] += table.num_rows
         self.seq += 1
         if self.mutable_count >= self.mutable_rows:
@@ -453,6 +446,7 @@ class Bm25PartitionStore:
         self.sealed.append(seg)
         self.mutable = []
         self.mutable_count = 0
+        self._mutable_seg = None
         self.metrics_["freezes"] += 1
 
     def drain_dead_letters(self) -> Optional[pa.Table]:
@@ -687,11 +681,12 @@ class Bm25PartitionStore:
     # -- query --------------------------------------------------------------
 
     def _all_segments(self) -> list:
-        segs = list(self.sealed)
-        if self.mutable:
-            segs.append(build_segment(
-                pa.concat_tables(self.mutable).combine_chunks(), self.schema))
-        return segs
+        if not self.mutable:
+            return list(self.sealed)
+        if self._mutable_seg is None:
+            self._mutable_seg = build_segment(
+                pa.concat_tables(self.mutable).combine_chunks(), self.schema)
+        return self.sealed + [self._mutable_seg]
 
     def stats_partial(self, requests_pickle: bytes) -> bytes:
         """Partial GlobalStats for the driver's stats exchange barrier.
@@ -756,115 +751,147 @@ class Bm25PartitionStore:
                     try:
                         cnt = int(pc.sum(
                             pc.equal(col, t).fill_null(False)).as_py() or 0)
-                    except Exception:
+                    except pa.ArrowNotImplementedError:
+                        # no equality kernel for the term's type against
+                        # the column's: no row can equal the term
                         cnt = 0
                 g.term_df[(f, t)] = g.term_df.get((f, t), 0) + cnt
         return pickle.dumps(g)
 
-    def topk(self, query_pickle: bytes, stats_pickle: bytes, k: int,
-             with_score: bool = True, columns=None,
-             snippet_cfg_pickle: bytes = None,
-             threshold=None, threshold_qid: int = 0) -> pa.Table:
-        """Local top-k by score desc then key asc (merge-rank happens on the
-        driver across partitions, like per-segment collectors); optional
-        highlighted snippet column for the emitted hits.
-
-        ``threshold`` (a :class:`TopKThresholdActor` handle) enables the
-        cooperative cross-partition prune: hits strictly below the global
-        k-th-best score never materialize (ties kept for the key-ordered
-        tie-break in the driver merge)."""
-        import numpy as np
-
-        query = pickle.loads(query_pickle)
+    def evaluate(self, specs_pickle: bytes, stats_pickle: bytes) -> list:
+        """Score every :class:`EvalSpec` of one evaluation round against
+        this partition: one segment list, one ``Searcher`` per segment
+        shared by all specs (and so are its norm caches), and each row's
+        liveness looked up at most once.  Per spec it returns the local
+        head (merge-rank happens on the driver across partitions, like
+        per-segment collectors) or, for a facet, value -> doc count (the
+        partial side of a terms facet, merged on the driver)."""
+        specs = pickle.loads(specs_pickle)
         stats = pickle.loads(stats_pickle)
-        snip_cfg = (pickle.loads(snippet_cfg_pickle)
-                    if snippet_cfg_pickle else None)
-        if snip_cfg is not None:
-            from paradedb_ray.index.snippet import query_terms_for_field
+        segs = self._all_segments()
+        searchers = [Searcher(seg, self.schema, stats) for seg in segs]
+        visible = self._visibility(segs)
+        return [self._facet_counts(spec, searchers, visible)
+                if spec.facet_field else self._head(spec, searchers, visible)
+                for spec in specs]
 
-            snip_terms = query_terms_for_field(query, self.schema,
-                                               snip_cfg.field)
-        parts = []
-        for seg in self._all_segments():
-            s = Searcher(seg, self.schema, stats)
-            hits = s.eval(query)
-            if len(hits) == 0:
-                continue
-            if threshold is not None and with_score and len(hits) and \
-                    k < (1 << 30):
-                top = np.sort(np.asarray(hits.scores))[::-1][:k]
-                thr = ray.get(threshold.offer.remote(
-                    threshold_qid, k, [float(x) for x in top]))
-                if thr > float("-inf"):
-                    keep = np.asarray(hits.scores) >= np.float32(thr)
-                    if not keep.all():
-                        from paradedb_ray.index.searcher import Hits
+    def _visibility(self, segs: list):
+        """``visible(i, ids)`` -> live mask of rows ``ids`` of ``segs[i]``;
+        each row is looked up in the live map at most once."""
+        if not self.n_dead:
+            return lambda i, ids: np.ones(len(ids), dtype=bool)
+        known = [None] * len(segs)  # per row: 0 unknown, 1 live, -1 dead
+        cols = list(self.key_cols) + ["__seq"]
 
-                        hits = Hits(np.asarray(hits.ids)[keep],
-                                    np.asarray(hits.scores)[keep])
-                    if len(hits) == 0:
-                        continue
-            sub = seg.table.take(pa.array(hits.ids, pa.int64()))
-            if with_score:
-                sub = sub.append_column(
-                    "score", pa.array(hits.scores, pa.float32()))
-            if snip_cfg is not None:
-                from paradedb_ray.index.snippet import snippet_column
+        def visible(i, ids):
+            if known[i] is None:
+                known[i] = np.zeros(segs[i].table.num_rows, dtype=np.int8)
+            kn = known[i]
+            todo = ids[kn[ids] == 0]
+            if len(todo):
+                rows = segs[i].table.select(cols).take(
+                    pa.array(todo, pa.int64()))
+                kn[todo] = np.where(self._visible_mask(rows), 1, -1)
+            return kn[ids] == 1
 
-                sub = sub.append_column(
-                    snip_cfg.output_name,
-                    snippet_column(s, hits, snip_cfg, snip_terms))
-            sub = self._visible_only(sub)
-            if sub.num_rows:
-                parts.append(sub)
-        if not parts:
-            cols = columns or (list(self.key_cols)
-                               + (["score"] if with_score else []))
-            return pa.table({c: pa.array([], pa.string() if c == "conv_id"
-                                         else pa.float32() if c == "score"
-                                         else pa.int64()) for c in cols})
-        out = pa.concat_tables(parts, promote_options="default")
+        return visible
+
+    def _head(self, spec: EvalSpec, searchers: list, visible) -> pa.Table:
+        """The partition's ``spec.k`` best live hits by score desc then
+        key asc (every live hit when ``k`` is None), with the optional
+        highlighted snippet column.
+
+        A scored top-k keeps a partition-local k-th-best threshold over
+        LIVE hits only: a superseded copy never raises it, so it never
+        prunes a live row.  Hits strictly below it never materialize
+        (ties are kept for the key-ordered tie-break)."""
         import pyarrow.compute as pc
 
-        sort_keys = [(c, "descending" if c == "score" else "ascending")
-                     for c in ((("score",) if with_score else ())
-                               + self.key_cols)
-                     if c in out.column_names]
-        idx = pc.sort_indices(out, sort_keys=sort_keys)
-        out = out.take(idx.slice(0, k))
-        if columns:
-            out = out.select([c for c in columns if c in out.column_names])
-        else:
-            internal = [c for c in ("__seq", "__arr")
-                        if c in out.column_names]
-            if internal:
-                out = out.drop_columns(internal)
-        return out
+        k = spec.k
+        prune = bool(k) and spec.with_score
+        kth = np.float32(-np.inf)
+        best = np.empty(0, dtype=np.float32)  # k best live scores so far
+        if spec.snippet_cfg is not None:
+            from paradedb_ray.index.snippet import (
+                query_terms_for_field,
+                snippet_column,
+            )
 
-    def match_table(self, query_pickle: bytes, stats_pickle: bytes,
-                    columns=None) -> pa.Table:
-        """Full (unranked-capped) match set for this partition."""
-        return self.topk(query_pickle, stats_pickle, k=1 << 62,
-                         with_score=True, columns=columns)
-
-    def facet_partial(self, query_pickle: bytes, stats_pickle: bytes,
-                      field: str) -> dict:
-        """value -> doc count over this partition's matching docs (the
-        partial side of a terms facet; driver merges partials — the
-        streaming analogue of the groupby facet shuffle)."""
-        query = pickle.loads(query_pickle)
-        stats = pickle.loads(stats_pickle)
-        counts: dict = {}
-        for seg in self._all_segments():
-            s = Searcher(seg, self.schema, stats)
-            hits = s.eval(query)
+            snip_terms = query_terms_for_field(spec.query, self.schema,
+                                               spec.snippet_cfg.field)
+        parts = []
+        for i, s in enumerate(searchers):
+            hits = s.eval(spec.query)
             if len(hits) == 0:
                 continue
-            sub = seg.table.take(pa.array(hits.ids, pa.int64()))
-            sub = self._visible_only(sub)
-            import pyarrow.compute as pc
+            ids = np.asarray(hits.ids, dtype=np.int64)
+            scores = np.asarray(hits.scores, dtype=np.float32)
+            if prune:
+                order = np.argsort(-scores, kind="stable")
+                ids, scores = ids[order], scores[order]
+                n = int(np.searchsorted(-scores, -kth, side="right"))
+                keep = np.zeros(n, dtype=bool)
+                lo = 0
+                # score order: liveness is only looked up while a chunk
+                # can still reach the running k-th best
+                while lo < n and scores[lo] >= kth:
+                    hi = min(n, lo + max(k, 64))
+                    m = visible(i, ids[lo:hi]) & (scores[lo:hi] >= kth)
+                    keep[lo:hi] = m
+                    best = np.concatenate([best, scores[lo:hi][m]])
+                    if len(best) >= k:
+                        best = np.sort(best)[-k:]
+                        kth = best[0]
+                    lo = hi
+                ids, scores = ids[:n][keep], scores[:n][keep]
+            else:
+                live = visible(i, ids)
+                ids, scores = ids[live], scores[live]
+            if not len(ids):
+                continue
+            t = s.seg.table
+            if spec.columns:
+                want = set(spec.columns) | set(self.key_cols)
+                t = t.select([c for c in t.column_names if c in want])
+            sub = t.take(pa.array(ids, pa.int64()))
+            if spec.with_score:
+                sub = sub.append_column("score",
+                                        pa.array(scores, pa.float32()))
+            if spec.snippet_cfg is not None:
+                sub = sub.append_column(
+                    spec.snippet_cfg.output_name,
+                    snippet_column(s, Hits(ids, scores), spec.snippet_cfg,
+                                   snip_terms))
+            parts.append(sub)
+        if not parts:
+            return pa.table({})
+        out = pa.concat_tables(parts, promote_options="default")
+        sort_keys = ([("score", "descending")] if spec.with_score else []) \
+            + [(c, "ascending") for c in self.key_cols]
+        idx = pc.sort_indices(out, sort_keys=sort_keys)
+        out = out.take(idx if k is None else idx.slice(0, k))
+        # the driver merge-ranks on score and key, then selects columns
+        return out.drop_columns([c for c in ("__seq", "__arr")
+                                 if c in out.column_names
+                                 and c not in (spec.columns or ())])
 
-            vc = pc.value_counts(sub.column(field).combine_chunks())
+    def _facet_counts(self, spec: EvalSpec, searchers: list,
+                      visible) -> dict:
+        """value -> doc count of ``spec.facet_field`` over this
+        partition's live matches."""
+        import pyarrow.compute as pc
+
+        counts: dict = {}
+        for i, s in enumerate(searchers):
+            hits = s.eval(spec.query)
+            if len(hits) == 0:
+                continue
+            ids = np.asarray(hits.ids, dtype=np.int64)
+            ids = ids[visible(i, ids)]
+            if not len(ids):
+                continue
+            vc = pc.value_counts(s.seg.table.column(spec.facet_field).take(
+                pa.array(ids, pa.int64())).combine_chunks())
             for v, n in zip(vc.field("values").to_pylist(),
                             vc.field("counts").to_pylist()):
                 counts[v] = counts.get(v, 0) + n
@@ -1077,6 +1104,7 @@ class Bm25PartitionStore:
         self.metrics_ = state["metrics"]
         self.mutable = []
         self.mutable_count = 0
+        self._mutable_seg = None
         return epoch
 
     # -- introspection ------------------------------------------------------

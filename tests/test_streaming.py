@@ -1215,3 +1215,242 @@ def test_gate_retraction_arbitrates_by_arrival_stamp(ray_session):
     # newer retraction (arr 12 > 10): wins
     assert ray.get(store.retract_keys.remote(kh, [12])) == 1
     ray.kill(store)
+
+
+def _zebra_row(conv: str, text: str) -> pa.Table:
+    return pa.table({
+        "conv_id": pa.array([conv]), "turn_idx": pa.array([0], pa.int32()),
+        "role": pa.array(["user"]), "text": pa.array([text]),
+        "tool": pa.array([""]),
+        "ts": pa.array([1_700_000_000_000_000], pa.timestamp("us"))})
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+def test_dead_copy_never_prunes_live_topk(ray_session, parts):
+    """The top-k threshold counts live hits only: the superseded copy of
+    ``x`` (the best "zebra" score) must not raise the k-th best and
+    prune the live ``z`` in a later segment."""
+    from paradedb_ray.index import Searcher, build_segment
+
+    batches = [[("x", "zebra zebra zebra"), ("y", "zebra foo bar baz")],
+               [("x", "nothing here at all"), ("f", "filler words")],
+               [("z", "zebra foo bar baz qux"), ("g", "more filler")]]
+    eng = StreamEngine(transcripts_schema(),
+                       StreamConfig(num_partitions=parts, mutable_rows=2))
+    try:
+        for e, rows in enumerate(batches):
+            eng.ingest(pa.concat_tables([_zebra_row(c, t) for c, t in rows]),
+                       epoch=e)
+        got = eng.query_topk(pdb.term("text", "zebra"), k=2,
+                             columns=["conv_id", "turn_idx", "score"])
+        stats = eng.global_stats(pdb.term("text", "zebra"))
+    finally:
+        eng.shutdown()
+    # scored under the engine's own stats: a superseded copy counts in
+    # them until a freeze, merge or vacuum drops it (like a tantivy
+    # deleted doc), and which of those ran depends on the partitioning
+    live = pa.concat_tables([_zebra_row("y", "zebra foo bar baz"),
+                             _zebra_row("z", "zebra foo bar baz qux")])
+    ref = Searcher(build_segment(live, transcripts_schema()),
+                   transcripts_schema(), stats).eval(pdb.term("text", "zebra"))
+    assert got.column("conv_id").to_pylist() == ["y", "z"]
+    assert (np.asarray(got.column("score"), np.float32).tolist()
+            == np.asarray(ref.scores, np.float32).tolist())
+
+
+def _parity_queries(n: int) -> dict:
+    """``n`` standing queries cycling term / OR / AND / phrase over the
+    transcript vocabulary; ``q0`` is the same for every ``n``."""
+    from paradedb_ray.testing.transcripts import _VOCAB
+
+    words = [str(w) for w in _VOCAB]
+    out = {}
+    for j in range(n):
+        w1 = words[(7 * j + 13) % len(words)]
+        w2 = words[(11 * j + 3) % len(words)]
+        kind = j % 4
+        out[f"q{j}"] = (f"{w1} OR {w2}" if kind == 0
+                        else pdb.term("text", w1) if kind == 1
+                        else f"{w1} AND {w2}" if kind == 2
+                        else f'"{w1} {w2}"')
+    return out
+
+
+def _parity_epochs(n_epochs: int = 6, per: int = 300) -> list:
+    """Arrival-ordered epochs of transcript turns.  Epochs 1..n-2 also
+    correct 15 keys of earlier epochs (new text, arriving now); the last
+    epoch corrects 10 of its own keys within the epoch."""
+    base = transcript_turns(n_epochs * per, seed=3)
+    base = base.take(pa.compute.sort_indices(base, sort_keys=[
+        ("ts", "ascending"), ("conv_id", "ascending"),
+        ("turn_idx", "ascending")]))
+    epochs = []
+    for e in range(n_epochs):
+        t = base.slice(e * per, per)
+        if 0 < e < n_epochs - 1:
+            fix = base.slice((e - 1) * per + 5 * e, 15)
+        elif e == n_epochs - 1:
+            fix = t.slice(40, 10)
+        else:
+            fix = None
+        if fix is not None:
+            texts = t.column("text").to_pylist()[100:100 + fix.num_rows]
+            ts = t.column("ts").cast(pa.int64()).to_pylist()[-1]
+            fix = fix.set_column(fix.schema.get_field_index("text"), "text",
+                                 pa.array(texts))
+            fix = fix.set_column(fix.schema.get_field_index("ts"), "ts",
+                                 pa.array([ts] * fix.num_rows,
+                                          pa.timestamp("us")))
+            t = pa.concat_tables([t, fix])
+        epochs.append(t)
+    return epochs
+
+
+def _live_rows(epochs: list) -> pa.Table:
+    """The latest copy of every (conv_id, turn_idx) key."""
+    t = pa.concat_tables(epochs)
+    latest = {}
+    for i, k in enumerate(zip(t.column("conv_id").to_pylist(),
+                              t.column("turn_idx").to_pylist())):
+        latest[k] = i
+    return t.take(pa.array(sorted(latest.values()), pa.int64()))
+
+
+def test_shared_evaluation_parity_across_query_counts(ray_session, tmp_path):
+    """A standing query's emissions do not depend on how many other
+    queries share its epoch's stats exchange and evaluate round, and the
+    last epoch equals a whole-corpus searcher over the live rows."""
+    import collections
+
+    import pyarrow.parquet as pq
+
+    from paradedb_ray.index import Searcher, build_segment
+    from paradedb_ray.index.searcher import Hits
+    from paradedb_ray.index.snippet import (
+        SnippetConfig,
+        query_terms_for_field,
+        snippet_column,
+    )
+
+    epochs = _parity_epochs()
+    last = len(epochs) - 1
+    cfg = SnippetConfig(field="text", mode="single", max_num_chars=60)
+    cols = ["conv_id", "turn_idx", "score", "snippet"]
+    facets = {"roles": ("merge", "role"), "tools": ("epoch", "tool")}
+    sinks = {}
+    for n_q in (1, 8, 32):
+        sink = str(tmp_path / f"q{n_q}")
+        eng = _engine(parts=2, hot_threshold=20)
+        try:
+            r = EpochRunner(eng, sink, _parity_queries(n_q), topk=7,
+                            columns=cols, facets=facets, snippet_cfg=cfg)
+            salted = False
+            for e, t in enumerate(epochs):
+                if e == last:
+                    # drop the superseded copies, so that the stats of
+                    # the last epoch are those of the live rows
+                    eng.vacuum()
+                r.run_epoch(e, t)
+                salted |= bool(eng.refresh_hot())
+            assert salted, "hot-conversation salting was not exercised"
+            assert sum(m["retractions"] for m in eng.metrics()) >= 15
+        finally:
+            eng.shutdown()
+        sinks[n_q] = sink
+
+    def sink_bytes(sink, *path):
+        with open(os.path.join(sink, *path), "rb") as f:
+            return f.read()
+
+    for e in range(len(epochs)):
+        name = f"epoch={e:06d}.parquet"
+        assert (sink_bytes(sinks[1], "q0", name)
+                == sink_bytes(sinks[8], "q0", name)
+                == sink_bytes(sinks[32], "q0", name))
+
+    schema = transcripts_schema()
+    live = _live_rows(epochs)
+    ref = Searcher(build_segment(live, schema), schema)
+    name = f"epoch={last:06d}.parquet"
+    matched = 0
+    for qn, q in _parity_queries(32).items():
+        qa = ast.Parse(q) if isinstance(q, str) else q
+        hits = ref.eval(qa)
+        ids = np.asarray(hits.ids, np.int64)
+        scores = np.asarray(hits.scores, np.float32)
+        top = live.take(pa.array(ids)).append_column(
+            "score", pa.array(scores, pa.float32()))
+        order = pa.compute.sort_indices(top, sort_keys=[
+            ("score", "descending"), ("conv_id", "ascending"),
+            ("turn_idx", "ascending")]).to_numpy()[:7]
+        snips = snippet_column(ref, Hits(ids[order], scores[order]), cfg,
+                               query_terms_for_field(qa, schema, "text"))
+        want = list(zip(top.column("conv_id").take(order).to_pylist(),
+                        top.column("turn_idx").take(order).to_pylist(),
+                        scores[order].tolist(), snips.to_pylist()))
+        got = pq.read_table(os.path.join(sinks[32], qn, name))
+        if not want:
+            assert got.num_rows == 0, qn
+            continue
+        matched += 1
+        assert list(zip(got.column("conv_id").to_pylist(),
+                        got.column("turn_idx").to_pylist(),
+                        np.asarray(got.column("score"), np.float32).tolist(),
+                        got.column("snippet").to_pylist())) == want, qn
+    assert matched >= 24
+    for fname, (word, field) in facets.items():
+        counts = collections.Counter(
+            v for v, x in zip(live.column(field).to_pylist(),
+                              live.column("text").to_pylist())
+            if word in x.split(" "))
+        want = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        for n_q in (1, 8, 32):
+            got = pq.read_table(os.path.join(sinks[n_q], "facets", fname,
+                                             name))
+            assert list(zip(got.column(field).to_pylist(),
+                            got.column("doc_count").to_pylist())) == want
+
+
+def test_epoch_scores_all_queries_in_two_rounds(ray_session, tmp_path):
+    """32 standing queries and a facet cost one run_epoch exactly one
+    stats exchange and one evaluate round over the partition actors."""
+    eng = _engine(parts=2)
+    calls = {"global_stats": 0, "evaluate": 0}
+
+    def counted(name):
+        orig = getattr(eng, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        setattr(eng, name, call)
+
+    counted("global_stats")
+    counted("evaluate")
+    try:
+        r = EpochRunner(eng, str(tmp_path / "s"), _parity_queries(32),
+                        facets={"roles": ("merge", "role")}, topk=5,
+                        columns=["conv_id", "turn_idx", "score"])
+        r.run_epoch(0, transcript_turns(500, seed=9))
+        assert calls == {"global_stats": 1, "evaluate": 1}
+        assert all(os.path.exists(str(tmp_path / "s" / f"q{j}"
+                                      / "epoch=000000.parquet"))
+                   for j in range(32))
+    finally:
+        eng.shutdown()
+
+
+def test_incomparable_term_counts_zero_df(ray_session, turns):
+    """A keyword/integer term of a type with no equality kernel against
+    its column matches no row: its df is 0, and the other counts hold."""
+    eng = _engine(parts=2)
+    try:
+        eng.ingest(turns)
+        g = eng.global_stats(pdb.term("role", 5), pdb.term("turn_idx", "x"),
+                             pdb.term("role", "user"))
+    finally:
+        eng.shutdown()
+    assert g.num_docs == turns.num_rows
+    assert g.df("role", 5) == 0 and g.df("turn_idx", "x") == 0
+    assert g.df("role", "user") == turns.column("role").to_pylist().count(
+        "user")
