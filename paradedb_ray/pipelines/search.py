@@ -6,65 +6,43 @@ analogue of pg_search's custom scan (SURVEY §3.2):
     [top-k: per-block prune -> small global sort+limit]
 
 No full materialization: the scoring pass streams; only the pruned
-candidate set (≤ limit × blocks) reaches the final merge-rank.
+candidate set (≤ limit × blocks) reaches the final merge-rank.  Every
+top-k runs through one driver (``_topk``): ``search_topk`` is its
+one-query case and ``search_topk_multi`` its many-query case.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence, Union
 
+import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
 from paradedb_ray.query import ast
 from paradedb_ray.schema import IndexSchema
+from paradedb_ray.stages import search_stages
 from paradedb_ray.stages.blocks import (chunk_refs, concat_blocks,
                                         merge_blocks, tree_reduce_refs)
-from paradedb_ray.stages.search_stages import BatchScorer, compute_global_stats
-
-
-@ray.remote
-def _block_stats_leaf(*tabs):
-    """Merge packet blocks' pickled stats partials into a single
-    tree-reduce leaf (bytes only — candidate rows never leave the block
-    and never travel to the driver).  Accepts a CHUNK of blocks so the
-    task count tracks cluster CPUs, not block count (stats merge is
-    associative, so chunk layout is result-invariant)."""
-    import pickle
-
-    import pyarrow as pa
-
-    from paradedb_ray.index.searcher import GlobalStats
-
-    g = GlobalStats()
-    for tbl in tabs:
-        for b in tbl.column("partial").to_pylist():
-            g.merge(pickle.loads(b))
-    return pa.table({"partial": pa.array([pickle.dumps(g)], pa.binary())})
-
-
-@ray.remote
-def _apply_block(fn, *tabs):
-    """Run a table->table stage callable on a chunk of materialized
-    blocks.  PacketScorer iterates packet ROWS, so concatenating chunk
-    blocks scores each original block's mini-segment independently —
-    rows identical to per-block tasks, just fewer task submissions."""
-    import pyarrow as pa
-
-    tbl = tabs[0] if len(tabs) == 1 else pa.concat_tables(
-        tabs, promote_options="default")
-    return fn(tbl)
+from paradedb_ray.stages.search_stages import (QueryPacketBuilder,
+                                               SegmentScorer,
+                                               _merge_stats_parts,
+                                               compute_global_stats,
+                                               needs_positions, rank_head,
+                                               single_scan_terms)
 
 
 SortKey = tuple  # (column, "ascending"|"descending"); "score" allowed
 
 
-def _prune_columns(ds, schema: IndexSchema, query: ast.Query,
-                   output_columns, snippet_cfgs=None,
+def _prune_columns(ds, schema: IndexSchema, queries, output_columns,
+                   snippet_cfgs=None,
                    extra: Sequence[str] = ()) -> "ray.data.Dataset":
-    """Projection pushdown: select only the columns the query evaluates +
+    """Projection pushdown: select only the columns the queries evaluate +
     the requested outputs ("prune at the read").  Skipped when outputs are
-    unconstrained or the query carries an opaque HeapFilter predicate."""
+    unconstrained or a query carries an opaque HeapFilter predicate."""
     if not output_columns:
         return ds
 
@@ -107,7 +85,7 @@ def _prune_columns(ds, schema: IndexSchema, query: ast.Query,
         return True
 
     need: set = set(extra)
-    if not walk(query, need):
+    if not all(walk(q, need) for q in queries):
         return ds
     need |= {c for c in output_columns if c != "score"}
     for cfg in snippet_cfgs or ():
@@ -119,6 +97,10 @@ def _prune_columns(ds, schema: IndexSchema, query: ast.Query,
     return ds
 
 
+def _rows_with_key(batch, key: str, value):
+    return batch.filter(pc.equal(batch.column(key), value))
+
+
 def resolve_more_like_this(ds: ray.data.Dataset, schema: IndexSchema,
                            query: ast.Query) -> ast.Query:
     """Rewrite MoreLikeThis ``key_value`` exemplars into ``document_fields``
@@ -126,8 +108,6 @@ def resolve_more_like_this(ds: ray.data.Dataset, schema: IndexSchema,
     document up in the index the same way,
     `api/builder_fns/mlt.rs:28-100`)."""
     import copy
-
-    import pyarrow.compute as pc
 
     def walk(q):
         if isinstance(q, ast.MoreLikeThis) and q.key_value is not None \
@@ -146,7 +126,7 @@ def resolve_more_like_this(ds: ray.data.Dataset, schema: IndexSchema,
             key = schema.key_fields[0]
             # small pushdown filter: only the exemplar row leaves the read
             matches = ds.map_batches(
-                lambda b: b.filter(pc.equal(b.column(key), q.key_value)),
+                _rows_with_key, fn_kwargs={"key": key, "value": q.key_value},
                 batch_format="pyarrow", batch_size=None).take(1)
             if not matches:
                 q2 = copy.copy(q)
@@ -194,18 +174,16 @@ def search(
     if isinstance(query, str):
         query = ast.Parse(query)
     query = resolve_more_like_this(ds, schema, query)
-    ds = _prune_columns(ds, schema, query, output_columns, snippet_cfgs)
+    ds = _prune_columns(ds, schema, [query], output_columns, snippet_cfgs)
     if stats is None:
         stats = compute_global_stats(ds, schema, query)
-    scorer = BatchScorer(schema, query, stats, with_score=with_score,
-                         snippet_cfgs=snippet_cfgs,
-                         output_columns=output_columns)
+    scorer = SegmentScorer(schema, {"q": query}, stats,
+                           with_score=with_score, snippet_cfgs=snippet_cfgs,
+                           columns=output_columns)
     return ds.map_batches(scorer, batch_format="pyarrow", batch_size=None)
 
 
-def _arrow_schema(ds) -> "pa.Schema":
-    import pyarrow as pa
-
+def _arrow_schema(ds) -> pa.Schema:
     sch = ds.schema()
     base = getattr(sch, "base_schema", None)
     if isinstance(base, pa.Schema):
@@ -213,21 +191,18 @@ def _arrow_schema(ds) -> "pa.Schema":
     return pa.schema(list(zip(sch.names, sch.types)))
 
 
-def _result_schema(base, output_columns, with_score: bool,
-                   snippet_cfgs=None, query_id: bool = False):
-    """The exact Arrow schema a scorer stage emits: base columns
+def _result_schema(base, columns, with_score: bool, snippet_cfgs=None):
+    """The exact Arrow schema the top-k scorer emits: base columns
     (+``score`` f32, +snippet columns typed by mode), restricted to
-    ``output_columns`` when given, +``query_id``.  Needed up front so an
-    all-empty result can keep its schema (see ``_anchor_empty``)."""
-    import pyarrow as pa
-
+    ``columns`` when given, +``query_id``.  Needed up front so an
+    all-empty result keeps its schema."""
     snip = {}
     for cfg in (snippet_cfgs or []):
         snip[cfg.output_name] = (
             pa.string() if cfg.mode == "single"
             else pa.list_(pa.list_(pa.int64())) if cfg.mode == "positions"
             else pa.list_(pa.string()))
-    names = output_columns if output_columns is not None else (
+    names = columns if columns is not None else (
         list(base.names) + (["score"] if with_score else [])
         + list(snip))
     fields = []
@@ -238,73 +213,42 @@ def _result_schema(base, output_columns, with_score: bool,
             fields.append(pa.field(c, snip[c]))
         else:
             fields.append(base.field(c))
-    if query_id:
-        fields.append(pa.field("query_id", pa.string()))
+    fields.append(pa.field("query_id", pa.string()))
     return pa.schema(fields)
 
 
-def _anchor_empty(result, out_schema):
-    """Prepend a zero-row block carrying ``out_schema``: Ray's
-    ``repartition(1)`` drops an all-empty dataset's blocks entirely
-    (``schema()`` -> None), which breaks consumers that hash empty
-    frames (the driver's oracle compare does)."""
-    import ray.data as rd
-
-    return rd.from_arrow(out_schema.empty_table()).union(result)
-
-
-def _single_scan_scored(ds, schema: IndexSchema, queries: dict,
-                        order_by, output_columns, with_score: bool,
-                        prune_limit: int, query_id: bool):
+def _single_scan_scored(ds, schema: IndexSchema, queries: dict, columns,
+                        make_scorer):
     """The single-scan standing-query path, or None when any query is
     ineligible.  ONE corpus pass builds per-block packets (query-term
     postings + fieldnorms + candidate docstore rows + exact partial
     stats); the packet dataset is materialized (the global-stats barrier
     — bounded by query selectivity, not corpus size), stats tree-reduce
     in O(log B) task waves from the tiny partials, and a second pass
-    over the packets alone scores with the ordinary Searcher (bit-exact
-    f32 vs the two-pass route).  Returns (scored per-block-pruned
-    dataset, output Arrow schema).
+    over the packets alone scores them with ``make_scorer(queries,
+    stats)`` — the ordinary Searcher, bit-exact f32 vs the two-pass
+    route.  Returns the scored per-block-pruned dataset.
 
     Scale note: the packet barrier buffers O(matching docs x projected
     columns) + O(query-term occurrences) in the (disk-spillable) object
     store — NOT the corpus.  To keep that product bounded the path only
-    engages with an explicit ``output_columns`` projection; a
-    SELECT-*-shaped query falls back to the two-pass route, which
-    buffers nothing."""
-    from paradedb_ray.stages.search_stages import (
-        PacketScorer,
-        QueryPacketBuilder,
-        needs_positions,
-        reduce_stats_partials,
-        single_scan_terms,
-    )
-
-    if output_columns is None:
+    engages with an explicit column projection; a SELECT-*-shaped query
+    falls back to the two-pass route, which buffers nothing."""
+    if columns is None:
         return None
-    term_maps = []
+    terms_by_field: dict = {}
     for q in queries.values():
         m = single_scan_terms(q, schema)
         if m is None:
             return None
-        term_maps.append(m)
-    terms_by_field: dict = {}
-    for m in term_maps:
         for f, ts in m.items():
             terms_by_field.setdefault(f, set()).update(ts)
     if not terms_by_field:
         return None
 
     store_pos = any(needs_positions(q, schema) for q in queries.values())
-    sort_cols = [k[0] for k in (order_by or []) if k[0] != "score"]
-    if output_columns is not None:
-        keep = [c for c in dict.fromkeys(list(output_columns) + sort_cols)
-                if c != "score"]
-    else:
-        keep = None
-    read_cols = (sorted(set(keep) | set(terms_by_field))
-                 if keep is not None else None)
-    src = ds.select_columns(read_cols) if read_cols is not None else ds
+    keep = [c for c in columns if c != "score"]
+    src = ds.select_columns(sorted(set(keep) | set(terms_by_field)))
     packets = src.map_batches(
         QueryPacketBuilder(schema, terms_by_field, store_pos, keep),
         batch_format="pyarrow", batch_size=None,
@@ -317,23 +261,112 @@ def _single_scan_scored(ds, schema: IndexSchema, queries: dict,
     # through the same O(log B) fan-in-32 tree as compute_global_stats
     # (integer sums: associative, bit-identical to a flat loop) — at the
     # 10^5-10^6 block counts of the 100-TB design point a serial driver
-    # loop here would be the bottleneck.
+    # loop here would be the bottleneck.  Each chunk of packet blocks is
+    # one leaf, so the task count tracks cluster CPUs, not block count.
+    # reduce_stats_partials is looked up on its module at call time, so
+    # a wrapper installed there (perfbench's stats_reduce layer) sees it
     chunks = chunk_refs(packets.to_arrow_refs())
-    stats = reduce_stats_partials(
-        [_block_stats_leaf.remote(*ch) for ch in chunks])
-
-    out_schema = _result_schema(_arrow_schema(ds), output_columns,
-                                with_score, query_id=query_id)
-    scorer = PacketScorer(schema, queries, stats, out_schema,
-                          with_score=with_score, prune_limit=prune_limit,
-                          sort_keys=list(order_by or []),
-                          output_columns=output_columns,
-                          query_id=query_id)
+    stats = search_stages.reduce_stats_partials(
+        [_merge_stats_parts.remote(*ch) for ch in chunks])
     # ray.put once: the scorer carries the full global stats — inlining
     # it re-serializes per task submission
-    scorer_ref = ray.put(scorer)
-    scored_refs = [_apply_block.remote(scorer_ref, *ch) for ch in chunks]
-    return ray.data.from_arrow_refs(scored_refs), out_schema
+    score = ray.put(make_scorer(queries, stats).score_packets)
+    return ray.data.from_arrow_refs(
+        [merge_blocks.remote(score, *ch) for ch in chunks])
+
+
+def _query_heads(b: pa.Table, order_by, limit: int, offset: int = 0,
+                 columns: Optional[list] = None) -> pa.Table:
+    """Each query's ``rank_head`` of ``b``, query groups in order of first
+    appearance, projected to ``columns`` when given."""
+    qids = b.column("query_id")
+    heads = [rank_head(b.filter(pc.equal(qids, q)), order_by, limit, offset)
+             for q in pc.unique(qids).to_pylist()]
+    out = pa.concat_tables(heads) if heads else b
+    return out.select(columns) if columns is not None else out
+
+
+def _topk(ds, schema: IndexSchema, queries: dict, limit: int, order_by, *,
+          offset: int = 0, with_score: bool = True, snippet_cfgs=None,
+          output_columns=None, stats=None,
+          query_id: bool = True) -> ray.data.Dataset:
+    """The one batch top-k: per-block scoring with a per-block prune, then
+    chunked level-1 keeps and ONE final per-query merge-rank.
+
+    Known-term queries score off one corpus pass (single scan); the
+    vocab-expansion / non-TEXT remainder pays the classic stats+scoring
+    double scan.  Caller-supplied ``stats`` and ``snippet_cfgs`` force
+    the two-pass route.  Rows carry the ORDER BY columns until the final
+    merge, which projects to ``output_columns`` (+``query_id`` unless
+    ``query_id`` is False)."""
+    queries = {name: resolve_more_like_this(
+        ds, schema, ast.Parse(q) if isinstance(q, str) else q)
+        for name, q in queries.items()}
+    order_by = (list(order_by) if order_by is not None
+                else [("score", "descending")])
+    need = limit + offset
+    sort_cols = [k[0] for k in order_by]
+    want_score = with_score or "score" in sort_cols
+    columns = (None if output_columns is None
+               else list(dict.fromkeys(list(output_columns) + sort_cols)))
+    rank_schema = _result_schema(_arrow_schema(ds), columns, want_score,
+                                 snippet_cfgs)
+    final_cols = (list(output_columns) if output_columns is not None
+                  else rank_schema.names[:-1])
+    if query_id:
+        final_cols.append("query_id")
+    if not queries:
+        return ray.data.from_arrow(rank_schema.empty_table().select(
+            final_cols))
+
+    def make_scorer(qs: dict, stats) -> SegmentScorer:
+        return SegmentScorer(schema, qs, stats, with_score=want_score,
+                             snippet_cfgs=snippet_cfgs, prune_limit=need,
+                             sort_keys=order_by, columns=columns,
+                             query_id=True, out_schema=rank_schema)
+
+    parts = []
+    rest = queries
+    if stats is None and not snippet_cfgs:
+        eligible = {n: q for n, q in queries.items()
+                    if single_scan_terms(q, schema) is not None}
+        fast = (_single_scan_scored(ds, schema, eligible, columns,
+                                    make_scorer) if eligible else None)
+        if fast is not None:
+            parts.append(fast)
+            rest = {n: q for n, q in queries.items() if n not in eligible}
+    if rest:
+        ds = _prune_columns(ds, schema, rest.values(), output_columns,
+                            snippet_cfgs,
+                            extra=[c for c in sort_cols if c != "score"])
+        if stats is None:
+            stats = compute_global_stats(ds, schema, list(rest.values()))
+        parts.append(ds.map_batches(make_scorer(rest, stats),
+                                    batch_format="pyarrow", batch_size=None))
+    scored = parts[0]
+    for extra in parts[1:]:
+        scored = scored.union(extra)
+
+    # Merge-rank: the per-block prune already bounds the candidate set to
+    # <= need x blocks x |queries| rows, so the global ORDER BY is ONE raw
+    # merge task over single-block Arrow sorts — ds.stats() showed Ray's
+    # two-phase SortMap/SortReduce shuffle costing ~75% of a small
+    # query's wall time on a few hundred pruned rows.  The anchor empty
+    # table rides along so an all-empty result keeps its schema.  At high
+    # block counts one task taking one arg per block is itself a growth
+    # term: chunk to O(CPUs) level-1 keeps first — every globally-top row
+    # is within its chunk's per-query top offset+limit, so the final
+    # merge is unchanged.
+    refs = scored.to_arrow_refs()
+    empty_ref = ray.put(rank_schema.empty_table())
+    chunks = chunk_refs(refs)
+    if len(chunks) < len(refs):
+        keep = functools.partial(_query_heads, order_by=order_by, limit=need)
+        refs = [merge_blocks.remote(keep, empty_ref, *ch) for ch in chunks]
+    final = functools.partial(_query_heads, order_by=order_by, limit=limit,
+                              offset=offset, columns=final_cols)
+    return ray.data.from_arrow_refs(
+        [merge_blocks.remote(final, empty_ref, *refs)])
 
 
 def search_topk(
@@ -353,74 +386,12 @@ def search_topk(
     up to 4 tie-breakers — `index/reader/index.rs:881-1090`) LIMIT k.
 
     Per-block top-k pruning bounds the shuffle to ``limit`` rows per block
-    before the global sort+limit (per-segment top-k + merge-rank).
+    before the global sort+limit (per-segment top-k + merge-rank).  The
+    one-query case of :func:`search_topk_multi`, without ``query_id``.
     """
-    if isinstance(query, str):
-        query = ast.Parse(query)
-    query = resolve_more_like_this(ds, schema, query)
-    if order_by is None:
-        order_by = [("score", "descending")]
-    order_by = list(order_by)
-    need = limit + offset
-    want_score = with_score or any(k[0] == "score" for k in order_by)
-    fast = None
-    if stats is None and not snippet_cfgs:
-        fast = _single_scan_scored(
-            ds, schema, {"q": query}, order_by, output_columns,
-            want_score, need, query_id=False)
-    if fast is not None:
-        scored, out_schema = fast
-    else:
-        ds = _prune_columns(ds, schema, query, output_columns, snippet_cfgs,
-                            extra=[k[0] for k in order_by if k[0] != "score"])
-        if stats is None:
-            stats = compute_global_stats(ds, schema, query)
-        out_schema = _result_schema(_arrow_schema(ds), output_columns,
-                                    want_score, snippet_cfgs=snippet_cfgs)
-        scorer = BatchScorer(schema, query, stats,
-                             with_score=want_score,
-                             snippet_cfgs=snippet_cfgs,
-                             prune_limit=need, sort_keys=order_by,
-                             output_columns=output_columns)
-        scored = ds.map_batches(scorer, batch_format="pyarrow",
-                                batch_size=None)
-    # Merge-rank: the per-block prune already bounds the candidate set to
-    # <= need x blocks rows, so the global ORDER BY is ONE single-block
-    # Arrow sort (repartition of tiny blocks + local sort_indices) —
-    # ds.stats() showed Ray's two-phase SortMap/SortReduce shuffle costing
-    # ~75% of a small query's wall time on a few hundred pruned rows.
-    # Sort keys may carry NULLS FIRST/LAST placements (3-tuples,
-    # `nulls_ordering.sql`), which expand_nulls_keys handles locally.
-    import pyarrow as pa
-
-    from paradedb_ray.stages.search_stages import expand_nulls_keys
-
-    def _ranked(b: pa.Table, head: int, skip: int = 0) -> pa.Table:
-        import pyarrow.compute as pc2
-
-        b, keys, helpers = expand_nulls_keys(b, order_by)
-        idx = pc2.sort_indices(b, sort_keys=keys)
-        b = b.take(idx.slice(skip, head))
-        return b.drop_columns(helpers) if helpers else b
-
-    def merge_rank(b: pa.Table) -> pa.Table:
-        return _ranked(b, limit, offset)
-
-    def keep_rank(b: pa.Table) -> pa.Table:
-        # level-1 keep: every globally-top offset+limit row is within
-        # its chunk's top offset+limit, so the final merge is unchanged
-        return _ranked(b, offset + limit)
-
-    # at high block counts limit x blocks rows into ONE merge block is
-    # itself a growth term: chunk to O(CPUs) level-1 keeps first
-    refs = scored.to_arrow_refs()
-    empty_ref = ray.put(out_schema.empty_table())
-    chunks = chunk_refs(refs)
-    if len(chunks) < len(refs):
-        refs = [merge_blocks.remote(keep_rank, empty_ref, *ch)
-                for ch in chunks]
-    merged = merge_blocks.remote(merge_rank, empty_ref, *refs)
-    return ray.data.from_arrow_refs([merged])
+    return _topk(ds, schema, {"q": query}, limit, order_by, offset=offset,
+                 with_score=with_score, snippet_cfgs=snippet_cfgs,
+                 output_columns=output_columns, stats=stats, query_id=False)
 
 
 def search_topk_multi(
@@ -441,117 +412,8 @@ def search_topk_multi(
     persistent index.  Output carries a ``query_id`` column; each query's
     rows are its global top-``limit`` under ``order_by``.
     """
-    from paradedb_ray.stages.search_stages import (
-        MultiQueryScorer,
-        StatsCollector,
-        collect_stat_requests,
-        merge_stat_requests,
-        needs_positions,
-        reduce_stats_partials,
-    )
-
-    queries = {name: (ast.Parse(q) if isinstance(q, str) else q)
-               for name, q in queries.items()}
-    if order_by is None:
-        order_by = [("score", "descending")]
-    order_by = list(order_by)
-
-    import pyarrow as pa
-
-    want_score = with_score or any(k == "score" for k, _ in order_by)
-
-    # Split the standing set by single-scan eligibility: known-term
-    # queries score off one corpus pass; only the vocab-expansion /
-    # non-TEXT remainder pays the classic stats+scoring double scan.
-    from paradedb_ray.stages.search_stages import single_scan_terms
-
-    eligible = {n: q for n, q in queries.items()
-                if single_scan_terms(q, schema) is not None}
-    rest = {n: q for n, q in queries.items() if n not in eligible}
-    scored_parts = []
-    out_schema = None
-    if eligible:
-        fast = _single_scan_scored(ds, schema, eligible, order_by,
-                                   output_columns, want_score, limit,
-                                   query_id=True)
-        if fast is None:
-            rest = queries
-        else:
-            scored_parts.append(fast[0])
-            out_schema = fast[1]
-    if rest:
-        req = merge_stat_requests(
-            [collect_stat_requests(q, schema) for q in rest.values()])
-        read_cols = sorted({f.split(".")[0] for f in req["fields"]}
-                           | {f.split(".")[0] for f, _ in req["terms"]})
-        stats_ds = ds.select_columns(read_cols) if read_cols else ds
-        # O(log B) tree over the per-block partials (never a driver loop
-        # over take_all() — at 100-TB block counts that loop IS the query)
-        stats = reduce_stats_partials(
-            stats_ds.map_batches(
-                StatsCollector(schema, req), batch_format="pyarrow",
-                batch_size=None
-            ).to_arrow_refs())
-
-        out_schema = _result_schema(_arrow_schema(ds), output_columns,
-                                    want_score, query_id=True)
-        scorer = MultiQueryScorer(
-            schema, rest, stats,
-            with_score=want_score,
-            prune_limit=limit, sort_keys=order_by,
-            output_columns=output_columns,
-            store_positions=any(needs_positions(q, schema)
-                                for q in rest.values()))
-        scored_parts.append(ds.map_batches(scorer, batch_format="pyarrow",
-                                           batch_size=None))
-    if not scored_parts:
-        out_schema = _result_schema(_arrow_schema(ds), output_columns,
-                                    want_score, query_id=True)
-        return ray.data.from_arrow(out_schema.empty_table())
-    scored = scored_parts[0]
-    for extra in scored_parts[1:]:
-        scored = scored.union(extra)
-
-    cols = [k for k, _ in order_by]
-    desc = [d == "descending" for _, d in order_by]
-
-    def per_query_topk(g: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        idx = pc.sort_indices(g, sort_keys=list(zip(cols, (
-            "descending" if d else "ascending" for d in desc))))
-        return g.take(idx.slice(0, limit))
-
-    # candidate set ≤ blocks × limit × |queries|: collapse to one block
-    # and take each query's head locally (no all-to-all for tiny data)
-    def all_queries_topk(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        qids = b.column("query_id")
-        parts = []
-        for q in pc.unique(qids).to_pylist():
-            parts.append(per_query_topk(
-                b.filter(pc.equal(qids, q))))
-        if not parts:
-            return b
-        return pa.concat_tables(parts, promote_options="default")
-
-    # ONE raw merge task instead of a repartition(1) pipeline — the
-    # anchor empty table rides along so an all-empty result keeps its
-    # schema through the concat.  At high block counts a single task
-    # taking one arg per block is a driver bottleneck (and a huge arg
-    # list): chunk to O(CPUs) level-1 merges first — per-chunk top-k
-    # keeps every query's global top-k (any globally-top row is in its
-    # chunk's per-query head), so the final merge sees <= chunks x
-    # limit x |queries| rows and the result set is unchanged.
-    refs = scored.to_arrow_refs()
-    empty_ref = ray.put(out_schema.empty_table())
-    chunks = chunk_refs(refs)
-    if len(chunks) < len(refs):
-        refs = [merge_blocks.remote(all_queries_topk, empty_ref, *ch)
-                for ch in chunks]
-    merged = merge_blocks.remote(all_queries_topk, empty_ref, *refs)
-    return ray.data.from_arrow_refs([merged])
+    return _topk(ds, schema, queries, limit, order_by, with_score=with_score,
+                 output_columns=output_columns)
 
 
 def reciprocal_rank_fusion(
@@ -569,8 +431,6 @@ def reciprocal_rank_fusion(
     (`pg_search/tests/pg_regress/sql/reciprocal_rank_fusion.sql:31-60`);
     here the per-query rankings come from one shared multi-query pass and
     the fusion itself is a small groupby over the pruned candidates."""
-    import pyarrow as pa
-
     ranked = search_topk_multi(
         ds, schema, queries, limit=per_query_limit,
         order_by=[("score", "descending")] + [(c, "ascending")
@@ -584,7 +444,6 @@ def reciprocal_rank_fusion(
         candidate set is <= |queries| x per_query_limit rows, so two
         Dataset groupby launches were pure fixed overhead."""
         import pandas as pd
-        import pyarrow.compute as pc
 
         if t.num_rows == 0:
             return t.select(key_cols).append_column(
@@ -603,10 +462,8 @@ def reciprocal_rank_fusion(
         g = part.group_by(key_cols).aggregate([("rrf_part", "sum")])
         g = pa.table({**{c: g.column(c) for c in key_cols},
                       "rrf_score": g.column("rrf_part_sum")})
-        idx = pc.sort_indices(
-            g, sort_keys=[("rrf_score", "descending")]
-            + [(c, "ascending") for c in key_cols])
-        return g.take(idx.slice(0, limit))
+        return rank_head(g, [("rrf_score", "descending")]
+                         + [(c, "ascending") for c in key_cols], limit)
 
     refs = ranked.to_arrow_refs()
     merged = merge_blocks.remote(fuse, *refs)
@@ -630,27 +487,27 @@ def search_topk_with_facet(
     a driver-side split, not a second scan.  Returns
     ``(topk pa.Table, facet pa.Table)``."""
     import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from paradedb_ray.index.searcher import GlobalStats
-    from paradedb_ray.index.segment import build_segment
-    from paradedb_ray.index.searcher import Searcher
-    from paradedb_ray.stages.search_stages import needs_positions
 
     if isinstance(query, str):
         query = ast.Parse(query)
     query = resolve_more_like_this(ds, schema, query)
-    if order_by is None:
-        order_by = [("score", "descending")]
-    order_by = list(order_by)
-    ds = _prune_columns(ds, schema, query, output_columns,
-                        extra=[k for k, _ in order_by if k != "score"]
+    order_by = (list(order_by) if order_by is not None
+                else [("score", "descending")])
+    sort_cols = [k[0] for k in order_by]
+    ds = _prune_columns(ds, schema, [query], output_columns,
+                        extra=[c for c in sort_cols if c != "score"]
                         + [facet_field])
-    stats = compute_global_stats(ds, schema, query)
-    out_cols = output_columns
-    store_pos = needs_positions(query, schema)
-    sort_keys = order_by
+    scorer = SegmentScorer(schema, {"q": query},
+                           compute_global_stats(ds, schema, query))
+    # hit partials carry the ORDER BY columns up the tree; the root
+    # projects to ``output_columns``
+    keep = (list(dict.fromkeys(list(output_columns) + sort_cols))
+            if output_columns else None)
+
+    def project(hits: pa.Table, cols) -> pa.Table:
+        if not cols:
+            return hits
+        return hits.select([c for c in cols if c in hits.column_names])
 
     # partials ride as an ARROW-NATIVE tagged-row table (no pickle:
     # zero-copy through plasma at any fan-in, VERDICT r4 nit #4):
@@ -670,23 +527,12 @@ def search_topk_with_facet(
                                 promote_options="default")
 
     def score_block(batch: pa.Table) -> pa.Table:
-        seg = build_segment(batch, schema, store_positions=store_pos)
-        s = Searcher(seg, schema, stats)
-        hits = s.eval(query)
-        sub = batch.take(pa.array(hits.ids, pa.int64()))
-        sub = sub.append_column("score", pa.array(hits.scores, pa.float32()))
+        hits = scorer(batch)
         # facet partial over ALL matches of this block (vectorized)
-        import pyarrow.compute as pcf
-
-        vc = pcf.value_counts(sub.column(facet_field).combine_chunks())
-        if out_cols:
-            sub = sub.select([c for c in out_cols if c in sub.column_names])
-        if sub.num_rows > limit:
-            import pyarrow.compute as pc2
-
-            idx = pc2.sort_indices(sub, sort_keys=sort_keys)
-            sub = sub.take(idx.slice(0, limit))
-        return _tag(sub, vc.field("values"),
+        vc = pc.value_counts(hits.column(facet_field).combine_chunks())
+        if hits.num_rows > limit:
+            hits = rank_head(hits, order_by, limit)
+        return _tag(project(hits, keep), vc.field("values"),
                     vc.field("counts").cast(pa.int64()))
 
     # O(log B) tree of merge tasks, not a driver loop (VERDICT r2 #5).
@@ -700,21 +546,18 @@ def search_topk_with_facet(
 
     @ray.remote
     def merge_parts(*tabs: pa.Table) -> pa.Table:
-        import pyarrow.compute as pcm
-
         t = concat_blocks(tabs)
         if "__kind" not in t.column_names:
             return t
         kind = t.column("__kind")
-        hits = t.filter(pcm.equal(kind, 0)).drop_columns(
+        hits = t.filter(pc.equal(kind, 0)).drop_columns(
             [c for c in helper_cols if c in t.column_names])
         if hits.num_rows:
             # sort EVERY level (even under limit): level-wise stable
             # sorts keep tie order identical to the flat concat+sort at
             # any tree shape
-            idx = pcm.sort_indices(hits, sort_keys=sort_keys)
-            hits = hits.take(idx.slice(0, limit))
-        facet = t.filter(pcm.equal(kind, 1)).select(["__fv", "__fn"])
+            hits = rank_head(hits, order_by, limit)
+        facet = t.filter(pc.equal(kind, 1)).select(["__fv", "__fn"])
         agg = facet.group_by(["__fv"], use_threads=False).aggregate(
             [("__fn", "sum")])
         return _tag(hits, agg.column("__fv").combine_chunks(),
@@ -737,8 +580,8 @@ def search_topk_with_facet(
         topk = final.filter(pc.equal(kind, 0)).drop_columns(
             [c for c in helper_cols if c in final.column_names])
         if topk.num_rows:
-            idx = pc.sort_indices(topk, sort_keys=sort_keys)
-            topk = topk.take(idx.slice(0, limit))
+            topk = rank_head(topk, order_by, limit)
+        topk = project(topk, output_columns)
         ft = final.filter(pc.equal(kind, 1))
         facet_counts = dict(zip(ft.column("__fv").to_pylist(),
                                 ft.column("__fn").to_pylist()))
@@ -760,16 +603,13 @@ def search_count(
     """COUNT(*) of matching rows (aggregate pushdown fast path,
     `aggregatescan` COUNT(*): only per-block counts leave the workers,
     never the matched rows)."""
-    import pyarrow as pa
-
     from paradedb_ray.index.searcher import Searcher
     from paradedb_ray.index.segment import build_segment
-    from paradedb_ray.stages.search_stages import needs_positions
 
     if isinstance(query, str):
         query = ast.Parse(query)
     query = resolve_more_like_this(ds, schema, query)
-    ds = _prune_columns(ds, schema, query,
+    ds = _prune_columns(ds, schema, [query],
                         output_columns=list(schema.key_fields) or None)
     if stats is None:
         stats = compute_global_stats(ds, schema, query)

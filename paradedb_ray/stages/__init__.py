@@ -1,6 +1,6 @@
 from paradedb_ray.stages.search_stages import (  # noqa: F401
     StatsCollector,
-    BatchScorer,
+    SegmentScorer,
     collect_stat_requests,
     compute_global_stats,
 )

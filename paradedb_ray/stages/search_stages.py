@@ -8,10 +8,12 @@ searcher-global statistics, SURVEY §5 "BM25 parity requirements"):
    freqs for exactly the terms the query needs); the driver reduces the
    tiny partials into one ``GlobalStats`` — this is the global stats
    exchange.
-2. **scoring pass** — ``map_batches(BatchScorer)`` builds a transient
+2. **scoring pass** — ``map_batches(SegmentScorer)`` builds a transient
    segment per block (zero-copy Arrow in, vectorized postings) and
-   evaluates the query with the broadcast global stats, emitting matching
-   rows + ``score`` (+ optional snippet columns).
+   evaluates every query of a ``{name: query}`` dict with the broadcast
+   global stats, emitting matching rows + ``score`` (+ optional snippet
+   columns), pruned per block to each query's head by :func:`rank_head`
+   for a top-k.
 
 Both stages are pure functions of their batch: no shuffle, no
 materialization; scale-out is linear in blocks.
@@ -28,10 +30,10 @@ import pyarrow as pa
 import ray
 
 from paradedb_ray.index.searcher import GlobalStats, Searcher
-from paradedb_ray.index.segment import build_segment
+from paradedb_ray.index.segment import Segment, build_segment
 from paradedb_ray.query import ast
 from paradedb_ray.schema import IndexSchema, NUMERIC, TEXT, KEYWORD, JSON
-from paradedb_ray.stages.blocks import tree_reduce_refs
+from paradedb_ray.stages.blocks import concat_blocks, tree_reduce_refs
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +194,9 @@ class StatsCollector:
         for f, t in self.requests["terms"]:
             by_field.setdefault(f.split(".")[0], set()).add((f, t))
         need_fields = set(self.requests["fields"]) | set(by_field)
+        # the batch's rows as a segment (JSON paths index lazily on it)
+        seg = Segment(num_docs=batch.num_rows, table=batch,
+                      schema=self.schema)
         for fname in need_fields:
             f = self.schema.fields.get(fname)
             if f is None or fname not in batch.column_names:
@@ -256,62 +261,60 @@ class StatsCollector:
                 for t, d in dfs.items():
                     g.term_df[(fname, t)] = d
             else:
-                # keyword / numeric / json: df by (possibly normalized) equality
-                import pyarrow.compute as pc
-
-                col = batch.column(fname)
-                g.field_doc_count[fname] = int(pc.count(col).as_py())
-                jseg = None
-                if f.ftype == JSON:
-                    jseg = build_segment(
-                        batch.select([fname]),
-                        IndexSchema(fields={fname: f}, key_fields=[]),
-                    )
-                    # avgdl denominator of JSON BM25 (Searcher
-                    # _json_term_hits): total tokens under every path
-                    g.field_total_tokens[fname] = \
-                        jseg.json_total_tokens(fname)
-                for (full, t) in by_field.get(fname, ()):
-                    if f.ftype == JSON and "." in full:
-                        path = full.split(".", 1)[1]
-                        toks = (f.analyzer.tokenize(t)
-                                if isinstance(t, str) else [])
-                        if len(toks) == 1 and toks[0] == t:
-                            # scored json term: df = token doc freq in
-                            # the path index (what the Searcher divides
-                            # by), NOT full-value equality
-                            ti = jseg.json_text_index(fname, path)
-                            code = ti.term_code(t)
-                            cnt = (int(len(ti.postings(code)[0]))
-                                   if code >= 0 else 0)
-                            g.term_df[(full, t)] = cnt
-                            continue
-                        vals = jseg.json_path_values(fname, path)
-                        tv = t.lower() if isinstance(t, str) else t
-                        cnt = sum(
-                            1 for v in vals
-                            if (v.lower() if isinstance(v, str) else v) == tv
-                        )
-                    elif f.ftype == NUMERIC:
-                        from paradedb_ray.numeric import numeric_term_count
-
-                        cnt = numeric_term_count(col, t, f.scale)
-                    elif f.ftype in ("uuid", "inet", "ltree"):
-                        from paradedb_ray.pg_types import typed_term_count
-
-                        cnt = typed_term_count(col, t, f.ftype)
-                    else:
-                        if f.ftype == KEYWORD and f.analyzer.filters.lowercase:
-                            cmpcol = pc.utf8_lower(col)
-                        else:
-                            cmpcol = col
-                        try:
-                            cnt = int(pc.sum(pc.equal(cmpcol, t).fill_null(False)).as_py() or 0)
-                        except Exception:
-                            cnt = 0
-                    g.term_df[(full, t)] = cnt
+                add_column_stats(g, seg, f, fname, by_field.get(fname, ()))
         return pa.table({"partial": pa.array([pickle.dumps(g)], pa.binary())})
 
+
+def add_column_stats(g: GlobalStats, seg: Segment, fdef, fname: str,
+                     terms) -> None:
+    """Add a field WITHOUT a text index to ``g`` over ``seg``'s rows: its
+    doc count, a JSON field's token total under every path (the avgdl
+    denominator of JSON BM25, Searcher ``_json_term_hits``), and the df of
+    each ``(field, term)`` in ``terms``.  A scored JSON path term counts
+    its token doc freq in the path index (what the Searcher divides by,
+    NOT whole-value equality); keyword / numeric / typed terms count
+    (normalized) column equality.  The batch ``StatsCollector`` and the
+    streaming partition store both count through here, so their partials
+    agree."""
+    import pyarrow.compute as pc
+
+    col = seg.table.column(fname)
+    g.field_doc_count[fname] = (g.field_doc_count.get(fname, 0)
+                                + int(pc.count(col).as_py()))
+    if fdef.ftype == JSON:
+        g.field_total_tokens[fname] = (g.field_total_tokens.get(fname, 0)
+                                       + seg.json_total_tokens(fname))
+    for (full, t) in terms:
+        if fdef.ftype == JSON and "." in full:
+            path = full.split(".", 1)[1]
+            toks = fdef.analyzer.tokenize(t) if isinstance(t, str) else []
+            if len(toks) == 1 and toks[0] == t:
+                ti = seg.json_text_index(fname, path)
+                code = ti.term_code(t)
+                cnt = int(len(ti.postings(code)[0])) if code >= 0 else 0
+            else:
+                tv = t.lower() if isinstance(t, str) else t
+                cnt = sum(1 for v in seg.json_path_values(fname, path)
+                          if (v.lower() if isinstance(v, str) else v) == tv)
+        elif fdef.ftype == NUMERIC:
+            from paradedb_ray.numeric import numeric_term_count
+
+            cnt = numeric_term_count(col, t, fdef.scale)
+        elif fdef.ftype in ("uuid", "inet", "ltree"):
+            from paradedb_ray.pg_types import typed_term_count
+
+            cnt = typed_term_count(col, t, fdef.ftype)
+        else:
+            cmpcol = (pc.utf8_lower(col) if fdef.ftype == KEYWORD
+                      and fdef.analyzer.filters.lowercase else col)
+            try:
+                cnt = int(pc.sum(
+                    pc.equal(cmpcol, t).fill_null(False)).as_py() or 0)
+            except pa.ArrowNotImplementedError:
+                # no equality kernel for the term's type against the
+                # column's: no row can equal the term
+                cnt = 0
+        g.term_df[(full, t)] = g.term_df.get((full, t), 0) + cnt
 
 @ray.remote
 def _merge_stats_parts(*tabs: pa.Table) -> pa.Table:
@@ -338,15 +341,19 @@ def reduce_stats_partials(refs: list) -> GlobalStats:
     return g
 
 
-def compute_global_stats(ds, schema: IndexSchema, query: ast.Query,
+def compute_global_stats(ds, schema: IndexSchema, query,
                          default_fields: Optional[list] = None) -> GlobalStats:
     """Run the stats pass and reduce (the global stats exchange barrier).
+    ``query`` is one query or a list of them (one shared pass over the
+    union of their stat requests).
 
     The reduce is an O(log B) tree of ``ray.remote`` merge tasks over the
     per-block partials (VERDICT r2 #5) — every ``GlobalStats`` field is an
     integer sum, so the merge is associative/commutative and the tree is
     bit-identical to the old driver loop at any block count."""
-    req = collect_stat_requests(query, schema, default_fields)
+    queries = query if isinstance(query, (list, tuple)) else [query]
+    req = merge_stat_requests([collect_stat_requests(q, schema, default_fields)
+                               for q in queries])
     read_cols = sorted(
         {f.split(".")[0] for f in req["fields"]}
         | {f.split(".")[0] for f, _ in req["terms"]}
@@ -363,99 +370,93 @@ def compute_global_stats(ds, schema: IndexSchema, query: ast.Query,
 # ---------------------------------------------------------------------------
 
 
-class BatchScorer:
-    """map_batches callable: emit matching rows (+score, +optional snippets)."""
+class SegmentScorer:
+    """Score a ``{name: query}`` dict against one segment with the
+    broadcast global stats.  Per query: the matching rows (+``score`` f32,
+    +snippet columns), projected to ``columns``, pruned to the
+    ``prune_limit`` head under ``sort_keys`` (pg_search's per-segment
+    top-k collector, `scan/segmented_topk_exec.rs`), tagged with
+    ``query_id`` and cast to ``out_schema`` when those are given.  The
+    segment is built once and shared by every query.
 
-    def __init__(self, schema: IndexSchema, query: ast.Query,
-                 stats: GlobalStats, with_score: bool = True,
+    Called on a Dataset block it scores the block's full segment;
+    :meth:`score_packets` scores the candidate mini-segments of
+    single-scan packets instead — the same ``Searcher`` code path, so f32
+    scores match the two-pass route bitwise."""
+
+    def __init__(self, schema: IndexSchema, queries: dict,
+                 stats: GlobalStats, *, with_score: bool = True,
                  snippet_cfgs: Optional[list] = None,
                  prune_limit: Optional[int] = None,
                  sort_keys: Optional[list] = None,
-                 output_columns: Optional[list] = None,
-                 store_positions: Optional[bool] = None):
+                 columns: Optional[list] = None,
+                 query_id: bool = False,
+                 out_schema: Optional[pa.Schema] = None):
         self.schema = schema
-        self.query = query
+        self.queries = queries
         self.stats = stats
         self.with_score = with_score
         self.snippet_cfgs = snippet_cfgs or []
         self.prune_limit = prune_limit
         self.sort_keys = sort_keys
-        self.output_columns = output_columns
-        if store_positions is None:
-            # snippets need offsets; otherwise only positional queries do
-            store_positions = bool(self.snippet_cfgs) or needs_positions(
-                query, schema)
-        self.store_positions = store_positions
+        self.columns = columns
+        self.query_id = query_id
+        self.out_schema = out_schema
+        # snippets need offsets; otherwise only positional queries do
+        self.store_positions = bool(self.snippet_cfgs) or any(
+            needs_positions(q, schema) for q in queries.values())
         if self.snippet_cfgs:
             from paradedb_ray.index.snippet import query_terms_for_field
 
             self._snippet_terms = {
-                cfg.output_name: query_terms_for_field(query, schema, cfg.field)
-                for cfg in self.snippet_cfgs
-            }
+                (name, cfg.output_name):
+                    query_terms_for_field(q, schema, cfg.field)
+                for name, q in queries.items() for cfg in self.snippet_cfgs}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         seg = build_segment(batch, self.schema,
                             store_positions=self.store_positions)
-        searcher = Searcher(seg, self.schema, self.stats)
-        hits = searcher.eval(self.query)
-        out = batch.take(pa.array(hits.ids, pa.int64()))
-        if self.with_score:
-            out = out.append_column("score", pa.array(hits.scores, pa.float32()))
-        for cfg in self.snippet_cfgs:
-            from paradedb_ray.index.snippet import snippet_column
+        return concat_blocks(self.score(seg, batch), self.out_schema)
 
-            col = snippet_column(searcher, hits, cfg,
-                                 self._snippet_terms[cfg.output_name])
-            out = out.append_column(cfg.output_name, col)
-        if self.output_columns:
-            out = out.select(self.output_columns)
-        if self.prune_limit is not None and out.num_rows > self.prune_limit:
-            out = _local_topk(out, self.sort_keys, self.prune_limit)
-        return out
+    def score_packets(self, packets: pa.Table) -> pa.Table:
+        outs = []
+        for blob in (packets.column("packet").to_pylist()
+                     if packets.num_rows else ()):
+            seg = pickle.loads(blob)
+            if seg.num_docs:
+                outs.extend(self.score(seg, seg.table))
+        return concat_blocks(outs, self.out_schema)
 
-
-class MultiQueryScorer:
-    """map_batches callable evaluating MANY standing queries per block.
-
-    The segment (tokenization + postings) is built ONCE per block and
-    shared by every query — the standing-query amortization the reference
-    gets for free from its persistent index; emits ``query_id`` per row."""
-
-    def __init__(self, schema: IndexSchema, queries: dict,
-                 stats: GlobalStats, with_score: bool = True,
-                 prune_limit: Optional[int] = None,
-                 sort_keys: Optional[list] = None,
-                 output_columns: Optional[list] = None,
-                 store_positions: bool = True):
-        self.schema = schema
-        self.queries = queries  # name -> ast.Query
-        self.stats = stats
-        self.with_score = with_score
-        self.prune_limit = prune_limit
-        self.sort_keys = sort_keys
-        self.output_columns = output_columns
-        self.store_positions = store_positions
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        seg = build_segment(batch, self.schema,
-                            store_positions=self.store_positions)
+    def score(self, seg: Segment, rows: pa.Table) -> list:
+        """One table per query; ``rows`` holds the segment's docs in
+        doc-id order (the block itself, so index-derived alias columns
+        stay out of the output)."""
         searcher = Searcher(seg, self.schema, self.stats)
         outs = []
         for name, q in self.queries.items():
             hits = searcher.eval(q)
-            out = batch.take(pa.array(hits.ids, pa.int64()))
+            out = rows.take(pa.array(hits.ids, pa.int64()))
             if self.with_score:
-                out = out.append_column("score",
-                                        pa.array(hits.scores, pa.float32()))
-            if self.output_columns:
-                out = out.select(self.output_columns)
-            if self.prune_limit is not None and out.num_rows > self.prune_limit:
-                out = _local_topk(out, self.sort_keys, self.prune_limit)
-            out = out.append_column(
-                "query_id", pa.array([name] * out.num_rows, pa.string()))
+                out = out.append_column(
+                    "score", pa.array(hits.scores, pa.float32()))
+            for cfg in self.snippet_cfgs:
+                from paradedb_ray.index.snippet import snippet_column
+
+                out = out.append_column(cfg.output_name, snippet_column(
+                    searcher, hits, cfg,
+                    self._snippet_terms[name, cfg.output_name]))
+            if self.columns:
+                out = out.select(self.columns)
+            if (self.prune_limit is not None
+                    and out.num_rows > self.prune_limit):
+                out = rank_head(out, self.sort_keys, self.prune_limit)
+            if self.query_id:
+                out = out.append_column(
+                    "query_id", pa.array([name] * out.num_rows, pa.string()))
+            if self.out_schema is not None:
+                out = out.cast(self.out_schema)
             outs.append(out)
-        return pa.concat_tables(outs)
+        return outs
 
 
 def search_agg_filters(schema: IndexSchema, queries: dict,
@@ -467,7 +468,7 @@ def search_agg_filters(schema: IndexSchema, queries: dict,
     Matching is boolean so no global stats pass is needed (pass ``stats``
     only for score-dependent clauses).  The batch's segment (tokenization
     + postings) is built ONCE and shared by every mask through a
-    per-batch memo — the same amortization as ``MultiQueryScorer`` —
+    per-batch memo — the same amortization as ``SegmentScorer`` —
     so twelve FILTER clauses cost one tokenize pass per block."""
     need_pos = any(needs_positions(q, schema) for q in queries.values())
     memo: dict = {}
@@ -549,16 +550,20 @@ def expand_nulls_keys(table: pa.Table, sort_keys):
     return table, out_keys, helpers
 
 
-def _local_topk(table: pa.Table, sort_keys, limit: int) -> pa.Table:
-    """Per-block top-k pruning before the global merge (the analogue of
-    pg_search's per-segment top-k, `scan/segmented_topk_exec.rs`)."""
-    if not sort_keys:
-        return table.slice(0, limit)
+def rank_head(table: pa.Table, order_by, limit: int,
+              offset: int = 0) -> pa.Table:
+    """Rows ``offset .. offset+limit`` of ``table`` under ``order_by``
+    (extended keys, see :func:`expand_nulls_keys`) — a stable sort, so
+    equal keys keep their input order.  Every top-k head goes through
+    here: the per-block prune, the chunk keeps, each query's final merge
+    and the facet tree's node and root sorts."""
+    if not order_by:
+        return table.slice(offset, limit)
     import pyarrow.compute as pc
 
-    table, keys, helpers = expand_nulls_keys(table, sort_keys)
-    idx = pc.sort_indices(table, sort_keys=keys)
-    out = table.take(idx.slice(0, limit))
+    table, keys, helpers = expand_nulls_keys(table, order_by)
+    out = table.take(pc.sort_indices(table, sort_keys=keys)
+                     .slice(offset, limit))
     return out.drop_columns(helpers) if helpers else out
 
 
@@ -689,7 +694,7 @@ def build_query_segment(batch: pa.Table, schema: IndexSchema,
     docstore columns, and nothing else; the partial stats (num_docs,
     per-field token totals/doc counts, per-term dfs) come from the same
     single tokenization, bit-identical to what ``StatsCollector`` counts."""
-    from paradedb_ray.index.segment import (Segment, _build_text_index,
+    from paradedb_ray.index.segment import (_build_text_index,
                                             build_text_index_arrow)
 
     n = batch.num_rows
@@ -755,54 +760,3 @@ class QueryPacketBuilder:
             "partial": pa.array([pickle.dumps(partial)], pa.binary()),
             "packet": pa.array([pickle.dumps(seg)], pa.binary()),
         })
-
-
-class PacketScorer:
-    """map_batches callable over packet rows: evaluate every standing query
-    against each block's mini-segment with the broadcast global stats —
-    the ordinary Searcher code path, so f32 scores match the two-pass
-    route bitwise."""
-
-    def __init__(self, schema: IndexSchema, queries: dict,
-                 stats: GlobalStats, out_schema: pa.Schema,
-                 with_score: bool = True,
-                 prune_limit: Optional[int] = None,
-                 sort_keys: Optional[list] = None,
-                 output_columns: Optional[list] = None,
-                 query_id: bool = True):
-        self.schema = schema
-        self.queries = queries
-        self.stats = stats
-        self.out_schema = out_schema
-        self.with_score = with_score
-        self.prune_limit = prune_limit
-        self.sort_keys = sort_keys
-        self.output_columns = output_columns
-        self.query_id = query_id
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        outs = []
-        for blob in batch.column("packet").to_pylist():
-            seg = pickle.loads(blob)
-            if seg.num_docs == 0:
-                continue
-            searcher = Searcher(seg, self.schema, self.stats)
-            for name, q in self.queries.items():
-                hits = searcher.eval(q)
-                out = seg.table.take(pa.array(hits.ids, pa.int64()))
-                if self.with_score:
-                    out = out.append_column(
-                        "score", pa.array(hits.scores, pa.float32()))
-                if self.output_columns:
-                    out = out.select(self.output_columns)
-                if (self.prune_limit is not None
-                        and out.num_rows > self.prune_limit):
-                    out = _local_topk(out, self.sort_keys, self.prune_limit)
-                if self.query_id:
-                    out = out.append_column(
-                        "query_id",
-                        pa.array([name] * out.num_rows, pa.string()))
-                outs.append(out.cast(self.out_schema))
-        if not outs:
-            return self.out_schema.empty_table()
-        return pa.concat_tables(outs)

@@ -691,19 +691,19 @@ class Bm25PartitionStore:
     def stats_partial(self, requests_pickle: bytes) -> bytes:
         """Partial GlobalStats for the driver's stats exchange barrier.
 
-        Text-field dfs come from the postings; KEYWORD / numeric / JSON
-        terms are counted by column equality over the segment rows
-        (mirroring the batch ``StatsCollector``) so keyword-term idf — and
-        thus BM25 ranking — is identical across partitions and identical
+        Text-field stats come from the postings; KEYWORD / numeric / JSON
+        fields are counted by ``search_stages.add_column_stats``, the same
+        helper the batch ``StatsCollector`` uses, so idf and avgdl — and
+        thus BM25 ranking — are identical across partitions and identical
         to the stateless batch pipeline (ADVICE r1 #3)."""
-        import pyarrow.compute as pc
-
-        from paradedb_ray.schema import JSON, KEYWORD, NUMERIC, TEXT
+        from paradedb_ray.stages.search_stages import add_column_stats
 
         req = pickle.loads(requests_pickle)
         g = GlobalStats()
-        need_fields = req["fields"] | {f.split(".")[0]
-                                       for f, _ in req["terms"]}
+        by_field: dict = {}
+        for f, t in req["terms"]:
+            by_field.setdefault(f.split(".")[0], []).append((f, t))
+        need_fields = req["fields"] | set(by_field)
         for seg in self._all_segments():
             g.num_docs += seg.num_docs
             for fname in need_fields:
@@ -713,49 +713,14 @@ class Bm25PartitionStore:
                         g.field_total_tokens.get(fname, 0) + ti.total_tokens)
                     g.field_doc_count[fname] = (
                         g.field_doc_count.get(fname, 0) + ti.doc_count)
+                    for key in by_field.get(fname, ()):
+                        g.term_df[key] = (g.term_df.get(key, 0)
+                                          + ti.doc_freq(key[1]))
                     continue
                 fdef = self.schema.fields.get(fname)
                 if fdef is None or fname not in seg.table.column_names:
                     continue
-                g.field_doc_count[fname] = (
-                    g.field_doc_count.get(fname, 0)
-                    + int(pc.count(seg.table.column(fname)).as_py()))
-            for (f, t) in req["terms"]:
-                base = f.split(".")[0]
-                ti = seg.text.get(base)
-                if ti is not None:
-                    g.term_df[(f, t)] = (g.term_df.get((f, t), 0)
-                                         + ti.doc_freq(t))
-                    continue
-                fdef = self.schema.fields.get(base)
-                if fdef is None or base not in seg.table.column_names:
-                    continue
-                col = seg.table.column(base)
-                if fdef.ftype == JSON and "." in f:
-                    vals = seg.json_path_values(base, f.split(".", 1)[1])
-                    tv = t.lower() if isinstance(t, str) else t
-                    cnt = sum(
-                        1 for v in vals
-                        if (v.lower() if isinstance(v, str) else v) == tv)
-                elif fdef.ftype == NUMERIC:
-                    from paradedb_ray.numeric import numeric_term_count
-
-                    cnt = numeric_term_count(col, t, fdef.scale)
-                elif fdef.ftype in ("uuid", "inet", "ltree"):
-                    from paradedb_ray.pg_types import typed_term_count
-
-                    cnt = typed_term_count(col, t, fdef.ftype)
-                else:
-                    if fdef.ftype == KEYWORD and fdef.analyzer.filters.lowercase:
-                        col = pc.utf8_lower(col)
-                    try:
-                        cnt = int(pc.sum(
-                            pc.equal(col, t).fill_null(False)).as_py() or 0)
-                    except pa.ArrowNotImplementedError:
-                        # no equality kernel for the term's type against
-                        # the column's: no row can equal the term
-                        cnt = 0
-                g.term_df[(f, t)] = g.term_df.get((f, t), 0) + cnt
+                add_column_stats(g, seg, fdef, fname, by_field.get(fname, ()))
         return pickle.dumps(g)
 
     def evaluate(self, specs_pickle: bytes, stats_pickle: bytes) -> list:
