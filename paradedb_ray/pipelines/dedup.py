@@ -95,6 +95,28 @@ def _exact_sigs(ds: ray.data.Dataset, text_col: str,
     return ds.map_batches(sigs, batch_format="pyarrow", batch_size=None)
 
 
+def _colliding(b: pa.Table) -> pa.Table:
+    """Fingerprint groups seen more than once, with their kept key."""
+    return (b.filter(pc.greater(b.column("__n"), 1))
+             .select(["__h1", "__h2", "__keep"]))
+
+
+def _dropped_keys(b: pa.Table, key_col: str) -> pa.Table:
+    """Keys of a colliding group other than the one it keeps."""
+    return (b.filter(pc.invert(pc.equal(b.column(key_col),
+                                        b.column("__keep"))))
+             .select([key_col]))
+
+
+def _mark_drop(b: pa.Table) -> pa.Table:
+    return b.append_column("__drop", pa.array(np.ones(b.num_rows, np.bool_)))
+
+
+def _unmarked(b: pa.Table) -> pa.Table:
+    """Rows the drop-marker left join did not match."""
+    return b.filter(pc.is_null(b.column("__drop"))).drop_columns(["__drop"])
+
+
 def exact_dedup(
     ds: ray.data.Dataset,
     text_col: str,
@@ -121,18 +143,14 @@ def exact_dedup(
     agg = hash_group_aggregate(sigs, ["__h1", "__h2"],
                                {"__keep": (agg_fn, key_col),
                                 "__n": ("count_star", None)})
-    coll = agg.map_batches(
-        lambda b: b.filter(pc.greater(b.column("__n"), 1))
-                   .select(["__h1", "__h2", "__keep"]),
-        batch_format="pyarrow", batch_size=None).materialize()
+    coll = agg.map_batches(_colliding, batch_format="pyarrow",
+                           batch_size=None).materialize()
     if coll.count() == 0:
         return ds
 
     dropped = _candidate_join(sigs, coll, on=["__h1", "__h2"])
     dropped = dropped.map_batches(
-        lambda b: b.filter(pc.invert(pc.equal(b.column(key_col),
-                                              b.column("__keep"))))
-                   .select([key_col]),
+        _dropped_keys, fn_kwargs={"key_col": key_col},
         batch_format="pyarrow", batch_size=None).materialize()
     if dropped.count() == 0:
         return ds
@@ -146,16 +164,12 @@ def exact_dedup(
     # (marker left join) — the single unavoidable corpus shuffle
     from paradedb_ray.pipelines.joins import hash_join
 
-    marked = dropped.map_batches(
-        lambda b: b.append_column("__drop",
-                                  pa.array(np.ones(b.num_rows, np.bool_))),
-        batch_format="pyarrow", batch_size=None)
+    marked = dropped.map_batches(_mark_drop, batch_format="pyarrow",
+                                 batch_size=None)
     joined = hash_join(ds, marked, on=key_col, how="left",
                        num_partitions=_join_partitions())
-    return joined.map_batches(
-        lambda b: b.filter(pc.is_null(b.column("__drop")))
-                   .drop_columns(["__drop"]),
-        batch_format="pyarrow", batch_size=None)
+    return joined.map_batches(_unmarked, batch_format="pyarrow",
+                              batch_size=None)
 
 
 def _shingles(tokens: list, k: int) -> set:

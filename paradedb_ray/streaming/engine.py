@@ -683,9 +683,12 @@ def _pattern_reducer(sess_ref, steps, emit, within_us, conv_col, turn_col,
 
 
 #: hash shards of the compacted sessions snapshot — each shard folds
-#: independently (a parallel Ray task per shard), so compaction cost per
-#: tick is O(live identities / shards) per task and the snapshot layout
-#: is already the partitioned-output shape a multi-node sink needs
+#: independently (a parallel Ray task per shard), and the snapshot layout
+#: is already the partitioned-output shape a multi-node sink needs.  A
+#: fold rewrites only the shards the un-folded tail touches, and only at
+#: a checkpoint tick whose tail has grown to the snapshot's size
+#: (``EpochRunner._compact_sessions``), so shard rewrites amortize to
+#: O(1) per emitted row
 _SESSION_SHARDS = 16
 
 
@@ -702,7 +705,7 @@ def _latest_sessions_view(t: pa.Table,
     """Latest emission per (conv_id, session_start) identity, ordered by
     epoch; tombstones (n_turns=0) optionally dropped.  The ONE fold
     kernel shared by the driver-side ``read_sessions`` and the per-shard
-    ``_read_session_shard`` tasks — parity by construction."""
+    read and fold tasks — parity by construction."""
     import pandas as pd  # noqa: F401
 
     df = t.to_pandas().sort_values(["conv_id", "session_start", "epoch"],
@@ -715,42 +718,37 @@ def _latest_sessions_view(t: pa.Table,
                                 preserve_index=False)
 
 
-@ray.remote
-def _read_session_shard(shard_path, tail_rows) -> pa.Table:
-    """Read-side fold of ONE hash shard: compacted snapshot (read inside
-    the task — the driver never touches shard payloads) + the few
-    tail-epoch rows hashed to this shard -> latest-per-identity live
-    sessions.  One task per shard makes ``read_sessions_dataset`` a
-    distributed read that returns without materializing any shard on the
-    driver."""
+def _shard_view(shard_path, rows, drop_tombstones: bool) -> pa.Table:
+    """Compacted snapshot of ONE hash shard (read here, inside the task —
+    the driver never touches shard payloads) + the tail rows hashed to
+    it, folded by ``_latest_sessions_view``."""
     snap = (pq.read_table(shard_path)
             if shard_path and os.path.exists(shard_path) else None)
-    parts = [t for t in (snap, tail_rows) if t is not None and t.num_rows]
+    parts = [t for t in (snap, rows) if t is not None and t.num_rows]
     if not parts:
         return pa.table({})
     return _latest_sessions_view(
-        pa.concat_tables(parts, promote_options="default"))
+        pa.concat_tables(parts, promote_options="default"), drop_tombstones)
 
 
 @ray.remote
-def _fold_session_shard(new_rows: pa.Table, out_path: str) -> None:
-    """Fold one shard: previous snapshot (read INSIDE the task, so the
-    driver never touches shard payloads) + new emissions -> latest row
-    per (conv_id, session_start), ordered by epoch.  Tombstones
-    (n_turns=0) are KEPT — they void earlier emissions and the read-side
-    filter drops them, so folding is a pure supersede, never a semantic
-    change.  The write is atomic; re-folding the same inputs is
-    idempotent."""
-    snap = pq.read_table(out_path) if os.path.exists(out_path) else None
-    parts = [t for t in (snap, new_rows) if t is not None and t.num_rows]
-    if not parts:
-        return
-    df = (pa.concat_tables(parts, promote_options="default").to_pandas()
-          .sort_values(["conv_id", "session_start", "epoch"], kind="stable")
-          .drop_duplicates(subset=["conv_id", "session_start"], keep="last"))
-    _write_atomic_parquet(
-        pa.Table.from_pandas(df.reset_index(drop=True),
-                             preserve_index=False), out_path)
+def _read_session_shard(shard_path, tail_rows) -> pa.Table:
+    """Read-side fold of one shard -> latest-per-identity live sessions.
+    One task per shard makes ``read_sessions_dataset`` a distributed read
+    that returns without materializing any shard on the driver."""
+    return _shard_view(shard_path, tail_rows, drop_tombstones=True)
+
+
+@ray.remote
+def _fold_session_shard(new_rows: pa.Table, out_path: str) -> int:
+    """Fold one shard's tail rows into its snapshot and return the
+    snapshot's new row count.  Tombstones (n_turns=0) are KEPT — they void
+    earlier emissions and the read-side filter drops them, so folding is a
+    pure supersede, never a semantic change.  The write is atomic;
+    re-folding the same inputs is idempotent."""
+    out = _shard_view(out_path, new_rows, drop_tombstones=False)
+    _write_atomic_parquet(out, out_path)
+    return out.num_rows
 
 
 class EpochRunner:
@@ -811,6 +809,7 @@ class EpochRunner:
         # epochs replay their ingest (idempotent upsert) while their sink
         # emissions stay untouched (ADVICE r1 #2).
         self._state_epoch = -1
+        self._footers: dict = {}  # path -> (stat stamp, _sessions_footer)
         os.makedirs(sink_dir, exist_ok=True)
 
     def _apply_query_stream(self, epoch: int):
@@ -905,9 +904,10 @@ class EpochRunner:
                 ft, os.path.join(self.sink_dir, "facets", name,
                                  f"epoch={epoch:06d}.parquet"))
         eng.merge_tick()
-        if epoch % self.checkpoint_every == 0 and eng.checkpoint_dir:
+        tick = epoch % self.checkpoint_every == 0 and bool(eng.checkpoint_dir)
+        if tick:
             eng.checkpoint(epoch)
-            self._compact_sessions()
+        fold = self._compact_sessions(tick)
         # per-partition metrics lineage (ingested/late/retracted/reopened,
         # segment + watermark state) — one JSON per epoch
         mdir = os.path.join(self.sink_dir, "metrics")
@@ -916,7 +916,7 @@ class EpochRunner:
         with open(mtmp, "w") as f:
             json.dump({"epoch": epoch, "watermark": wm,
                        "live_queries": sorted(self.standing),
-                       "partitions": eng.metrics()}, f)
+                       "partitions": eng.metrics(), **fold}, f)
         os.replace(mtmp, os.path.join(mdir, f"epoch={epoch:06d}.json"))
         # commit marker LAST: the epoch is replayed in full on crash before
         # this point, and every write above is idempotent (same path, same
@@ -1063,46 +1063,79 @@ class EpochRunner:
     def read_facet(self, name: str) -> pa.Table:
         """Latest-epoch view of a facet's emissions."""
         d = os.path.join(self.sink_dir, "facets", name)
+        if not os.path.isdir(d):
+            return pa.table({})
         files = sorted(f for f in os.listdir(d) if f.endswith(".parquet"))
         if not files:
             return pa.table({})
         return pq.read_table(os.path.join(d, files[-1]))
 
-    def _compact_sessions(self):
-        """Fold superseded sessions emissions into a hash-sharded compacted
-        snapshot at checkpoint ticks (VERDICT r2 #6), so the per-epoch
-        emission history stops accumulating: ``read_sessions`` and any
-        downstream consumer read (bounded live-identity snapshot) + (the
-        few epoch files since the last checkpoint) instead of the whole
-        stream's history.  Shards fold as parallel Ray tasks; each shard
-        write is atomic, and the folded epoch files are removed only after
-        every shard landed — a crash in between merely re-folds identical
-        rows next tick (dedup at fold time makes that a no-op)."""
-        d = os.path.join(self.sink_dir, "sessions")
-        if not os.path.isdir(d):
-            return
-        files = sorted(f for f in os.listdir(d)
-                       if f.startswith("epoch=") and f.endswith(".parquet"))
-        if not files:
-            return
-        new = pa.concat_tables([pq.read_table(os.path.join(d, f))
-                                for f in files],
-                               promote_options="default")
-        cdir = os.path.join(d, "compact")
-        os.makedirs(cdir, exist_ok=True)
-        shard = _session_shard_of(new.column("conv_id"))
-        import numpy as np
+    def _compact_sessions(self, tick: bool) -> dict:
+        """Log-structured fold of the sessions sink.  Per-epoch emissions
+        (``sessions/epoch=*.parquet``) form an un-folded tail beside a
+        hash-sharded compacted snapshot; a checkpoint ``tick`` folds the
+        tail into the snapshot only once the tail's rows reach the
+        snapshot's rows (a doubling rule: amortized O(1) rewrites per row)
+        or its bytes reach the first rung of the merge ladder
+        (``DEFAULT_LAYER_SIZES[0]``; the reference merges small segments
+        the same way, ``merge_policy.rs:103-300``).  A tail epoch no newer
+        than the snapshot's newest is the trace of an interrupted fold and
+        finishes it.  The decision reads only the directory (footers and
+        sizes), so a resumed runner decides as an uninterrupted one.
+        Shards fold as parallel Ray tasks; each shard write is atomic, and
+        the tail files are removed only after every shard landed — a crash
+        in between re-folds identical rows (a no-op).  Returns the
+        epoch's deterministic fold record for ``metrics/``."""
+        from paradedb_ray.streaming.merge_policy import DEFAULT_LAYER_SIZES
 
-        refs = []
-        for k in range(_SESSION_SHARDS):
-            rows = new.take(pa.array(np.flatnonzero(shard == k), pa.int64()))
-            spath = os.path.join(cdir, f"shard={k:02d}.parquet")
-            if rows.num_rows == 0:
-                continue
-            refs.append(_fold_session_shard.remote(rows, spath))
-        ray.get(refs)
-        for f in files:
-            os.remove(os.path.join(d, f))
+        d = os.path.join(self.sink_dir, "sessions")
+        files = (sorted(f for f in os.listdir(d) if f.startswith("epoch=")
+                        and f.endswith(".parquet"))
+                 if os.path.isdir(d) else [])
+        tail = [os.path.join(d, f) for f in files]
+        shards = [os.path.join(d, "compact", f"shard={k:02d}.parquet")
+                  for k in range(_SESSION_SHARDS)]
+        foot = {p: self._sessions_footer(p)
+                for p in tail + [p for p in shards if os.path.exists(p)]}
+        tail_rows = sum(foot[p][0] for p in tail)
+        snap_rows = {k: foot[p][0] for k, p in enumerate(shards) if p in foot}
+        folded = bool(tick and tail and (
+            tail_rows >= sum(snap_rows.values())
+            or sum(foot[p][2] for p in tail) >= DEFAULT_LAYER_SIZES[0]
+            or min(foot[p][1] for p in tail)
+            <= max((foot[p][1] for p in shards if p in foot), default=-1)))
+        if folded:
+            new = pa.concat_tables([pq.read_table(p) for p in tail],
+                                   promote_options="default")
+            shard = _session_shard_of(new.column("conv_id"))
+            refs = {}
+            for k in range(_SESSION_SHARDS):
+                rows = new.take(pa.array(np.flatnonzero(shard == k),
+                                         pa.int64()))
+                if rows.num_rows:
+                    refs[k] = _fold_session_shard.remote(rows, shards[k])
+            snap_rows.update(zip(refs, ray.get(list(refs.values()))))
+            for p in tail:
+                os.remove(p)
+                self._footers.pop(p, None)
+            tail_rows = 0
+        return {"sessions_tail_rows": tail_rows,
+                "sessions_snapshot_rows": sum(snap_rows.values()),
+                "sessions_folded": folded}
+
+    def _sessions_footer(self, path: str) -> tuple:
+        """(rows, newest epoch, bytes) of a sessions parquet file, from its
+        footer; cached per (inode, mtime, size) — every sink write is an
+        atomic replace, so the cache always agrees with the footer."""
+        st = os.stat(path)
+        stamp = (st.st_ino, st.st_mtime_ns, st.st_size)
+        if self._footers.get(path, (None,))[0] != stamp:
+            md = pq.read_metadata(path)
+            col = md.schema.to_arrow_schema().get_field_index("epoch")
+            newest = max(md.row_group(g).column(col).statistics.max
+                         for g in range(md.num_row_groups))
+            self._footers[path] = (stamp, (md.num_rows, newest, st.st_size))
+        return self._footers[path][1]
 
     def read_sessions(self) -> pa.Table:
         """All closed sessions, latest emission per (conv_id,
@@ -1130,8 +1163,10 @@ class EpochRunner:
         compacted hash shard (snapshot read INSIDE the task + the
         tail-epoch rows hashed to it), returned as a ``ray.data.Dataset``
         — the scale path for corpora whose closed-session set cannot fit
-        on the driver.  Tail epochs (bounded by one checkpoint interval)
-        are the only driver-side read; same rows as ``read_sessions``
+        on the driver.  Tail epochs are the only driver-side read; the
+        fold trigger leaves them, after every checkpoint tick, fewer rows
+        than the snapshot and fewer bytes than ``DEFAULT_LAYER_SIZES[0]``
+        (``_compact_sessions``).  Same rows as ``read_sessions``
         (both call ``_latest_sessions_view``), shard-partitioned order."""
         import ray.data
 

@@ -1454,3 +1454,216 @@ def test_incomparable_term_counts_zero_df(ray_session, turns):
     assert g.df("role", 5) == 0 and g.df("turn_idx", "x") == 0
     assert g.df("role", "user") == turns.column("role").to_pylist().count(
         "user")
+
+
+# ---------------------------------------------------------------------------
+# log-structured sessions fold: the tail folds into the snapshot only once
+# it has grown to the snapshot's rows (or the first merge-ladder rung)
+# ---------------------------------------------------------------------------
+
+_FOLD_KEYS = ("sessions_tail_rows", "sessions_snapshot_rows",
+              "sessions_folded")
+
+
+def _ts_epochs(turns: pa.Table, n: int) -> list:
+    t = turns.take(pa.compute.sort_indices(turns,
+                                           sort_keys=[("ts", "ascending")]))
+    cuts = [i * t.num_rows // n for i in range(n + 1)]
+    return [t.slice(a, b - a) for a, b in zip(cuts, cuts[1:])]
+
+
+def _canon_sessions(df):
+    """Sessions rows in identity order; None when there are none."""
+    if len(df) == 0:
+        return None
+    return (df.sort_values(["conv_id", "session_start"])
+              .reset_index(drop=True))
+
+
+def _fold_record(sink: str, epoch: int) -> dict:
+    import json
+
+    with open(os.path.join(sink, "metrics", f"epoch={epoch:06d}.json")) as f:
+        m = json.load(f)
+    return {k: m[k] for k in _FOLD_KEYS}
+
+
+def _sessions_files(sink: str) -> tuple:
+    sdir = os.path.join(sink, "sessions")
+    cdir = os.path.join(sdir, "compact")
+    return (sorted(f for f in os.listdir(sdir) if f.startswith("epoch=")),
+            sorted(os.listdir(cdir)) if os.path.isdir(cdir) else [])
+
+
+def _fold_runner(eng, sink: str) -> EpochRunner:
+    return EpochRunner(eng, sink, {"q": pdb.term("text", "merge")}, topk=5,
+                       columns=["conv_id", "turn_idx", "score"],
+                       checkpoint_every=1)
+
+
+def test_read_facet_before_first_emission(ray_session, tmp_path):
+    """A facet with no emissions yet reads as an empty table, like a
+    pattern with none (it raised FileNotFoundError)."""
+    eng = _engine(parts=1)
+    try:
+        r = EpochRunner(eng, str(tmp_path / "s"), {},
+                        facets={"roles": ("merge", "role")})
+        assert r.read_facet("roles").num_rows == 0
+        assert r.read_patterns("none").num_rows == 0
+    finally:
+        eng.shutdown()
+
+
+def test_sessions_fold_is_log_structured(ray_session, turns, tmp_path):
+    """With a checkpoint every epoch, the sessions tail folds only when
+    it has grown to the snapshot's rows; after EVERY epoch — deferred
+    ticks and folding ticks alike — read_sessions and
+    read_sessions_dataset equal a run that never folds, and the epoch's
+    metrics record the fold exactly as the sink directory shows it."""
+    import pyarrow.parquet as pq
+
+    from paradedb_ray.streaming.merge_policy import DEFAULT_LAYER_SIZES
+
+    epochs = _ts_epochs(turns, 14)
+    ref_sink, sink = str(tmp_path / "ref"), str(tmp_path / "fold")
+    ref_eng = _engine(parts=2)  # no checkpoint dir -> never folds
+    eng = _engine(str(tmp_path / "ck"), parts=2)
+    records = []
+    try:
+        ref, r = _fold_runner(ref_eng, ref_sink), _fold_runner(eng, sink)
+        for e, t in enumerate(epochs):
+            ref.run_epoch(e, t)
+            r.run_epoch(e, t)
+            want = _canon_sessions(ref.read_sessions().to_pandas())
+            got = _canon_sessions(r.read_sessions().to_pandas())
+            got_ds = _canon_sessions(r.read_sessions_dataset().to_pandas())
+            if want is None:
+                assert got is None and got_ds is None, e
+            else:
+                assert want.equals(got), e
+                assert want.equals(got_ds[want.columns]), e
+            rec = _fold_record(sink, e)
+            records.append(rec)
+            tail, shards = _sessions_files(sink)
+            sdir = os.path.join(sink, "sessions")
+            assert rec["sessions_tail_rows"] == sum(
+                pq.read_metadata(os.path.join(sdir, f)).num_rows
+                for f in tail), e
+            assert rec["sessions_snapshot_rows"] == sum(
+                pq.read_metadata(os.path.join(sdir, "compact", f)).num_rows
+                for f in shards), e
+            if rec["sessions_folded"]:
+                assert not tail, e
+            elif tail:
+                # deferred: the trigger bounds the driver-side tail read
+                assert (rec["sessions_tail_rows"]
+                        < rec["sessions_snapshot_rows"]), e
+                assert sum(os.path.getsize(os.path.join(sdir, f))
+                           for f in tail) < DEFAULT_LAYER_SIZES[0], e
+            # the reference never folds and records its whole history
+            assert not _fold_record(ref_sink, e)["sessions_folded"]
+    finally:
+        ref_eng.shutdown()
+        eng.shutdown()
+    folded = [rec["sessions_folded"] for rec in records]
+    assert any(folded), records
+    assert any(not f and rec["sessions_tail_rows"]
+               for f, rec in zip(folded, records)), records
+    assert len(_sessions_files(sink)[0]) > 1, "tail never spans epochs"
+
+
+def test_sessions_fold_crash_before_tail_delete(ray_session, turns,
+                                                tmp_path, monkeypatch):
+    """A crash after every shard folded but before the tail files are
+    deleted: the resumed runner finishes that fold and ends with the same
+    sessions sink and read_sessions as a run that never crashed."""
+    epochs = _ts_epochs(turns, 12)
+    clean_sink = str(tmp_path / "clean")
+    eng = _engine(str(tmp_path / "ck_clean"), parts=2)
+    try:
+        r = _fold_runner(eng, clean_sink)
+        r.run(epochs)
+        want = _canon_sessions(r.read_sessions().to_pandas())
+    finally:
+        eng.shutdown()
+    clean = [_fold_record(clean_sink, e) for e in range(len(epochs))]
+    # a fold over a non-empty snapshot and a tail spanning epochs
+    crash_at = next(e for e in range(1, len(epochs))
+                    if clean[e]["sessions_folded"]
+                    and clean[e - 1]["sessions_tail_rows"])
+
+    sink, ck = str(tmp_path / "crash"), str(tmp_path / "ck_crash")
+    sdir = os.path.join(sink, "sessions")
+    real_remove = os.remove
+
+    def remove(path, *a, **kw):
+        if os.path.dirname(path) == sdir:
+            raise OSError("crash before the tail delete")
+        return real_remove(path, *a, **kw)
+
+    eng = _engine(ck, parts=2)
+    try:
+        r = _fold_runner(eng, sink)
+        r.run(epochs[:crash_at])
+        monkeypatch.setattr(os, "remove", remove)
+        with pytest.raises(OSError, match="tail delete"):
+            r.run_epoch(crash_at, epochs[crash_at])
+        monkeypatch.setattr(os, "remove", real_remove)
+        assert not r.epoch_done(crash_at)
+        assert len(_sessions_files(sink)[0]) >= 2  # folded, not deleted
+    finally:
+        eng.shutdown()  # crash
+    eng = _engine(ck, parts=2)
+    try:
+        r = _fold_runner(eng, sink)
+        assert r.resume() == crash_at
+        out = r.run(epochs)
+        assert all(o.get("skipped") for o in out[:crash_at])
+        assert not out[crash_at].get("skipped")
+        got = _canon_sessions(r.read_sessions().to_pandas())
+    finally:
+        eng.shutdown()
+    assert want.equals(got)
+    assert _sessions_files(sink) == _sessions_files(clean_sink)
+    assert [_fold_record(sink, e) for e in range(len(epochs))] == clean
+
+
+def test_sessions_fold_resume_from_deferred_tail(ray_session, turns,
+                                                 tmp_path):
+    """Resume from a checkpoint whose sessions tail is deferred (several
+    epoch files un-folded): every later tick makes the same fold decision
+    as an uninterrupted run — the first one included, which folds."""
+    epochs = _ts_epochs(turns, 14)
+    clean_sink = str(tmp_path / "clean")
+    eng = _engine(str(tmp_path / "ck_clean"), parts=2)
+    tail_files = []
+    try:
+        r = _fold_runner(eng, clean_sink)
+        for e, t in enumerate(epochs):
+            r.run_epoch(e, t)
+            tail_files.append(len(_sessions_files(clean_sink)[0]))
+        want = _canon_sessions(r.read_sessions().to_pandas())
+    finally:
+        eng.shutdown()
+    clean = [_fold_record(clean_sink, e) for e in range(len(epochs))]
+    stop = next(e for e in range(len(epochs) - 1)
+                if tail_files[e] >= 2 and clean[e + 1]["sessions_folded"])
+
+    sink, ck = str(tmp_path / "resumed"), str(tmp_path / "ck_resumed")
+    eng = _engine(ck, parts=2)
+    try:
+        _fold_runner(eng, sink).run(epochs[:stop + 1])
+    finally:
+        eng.shutdown()  # crash after epoch `stop` committed
+    assert len(_sessions_files(sink)[0]) >= 2
+    eng = _engine(ck, parts=2)
+    try:
+        r = _fold_runner(eng, sink)
+        assert r.resume() == stop
+        out = r.run(epochs)
+        assert all(o.get("skipped") for o in out[:stop + 1])
+        got = _canon_sessions(r.read_sessions().to_pandas())
+    finally:
+        eng.shutdown()
+    assert [_fold_record(sink, e) for e in range(len(epochs))] == clean
+    assert want.equals(got)

@@ -4,7 +4,10 @@ stream engine in E epochs with checkpoints + sessions-sink compaction.
 Reports per-epoch ingest wall time (flat per-turn cost is the invariant),
 end-to-end throughput, and the read_sessions cost AFTER compaction —
 asserting that the sessions read touches only the bounded snapshot
-(16 hash shards) plus the <= checkpoint_every uncompacted epoch files,
+(16 hash shards) plus an un-folded tail that the log-structured fold
+trigger bounds: right after the last checkpoint tick the tail holds
+fewer rows than the snapshot and fewer bytes than the first merge-ladder
+rung, and at most checkpoint_every - 1 epoch files arrived since —
 never the full emission history (VERDICT r2 #6).
 
 Usage: RAY_GRAFT_CPUS=32 python tools/stream_soak.py [n_turns] [n_epochs]
@@ -15,8 +18,11 @@ import shutil
 import sys
 import time
 
+import json
+
 import pyarrow as pa
 import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 
 import ray
 
@@ -29,6 +35,7 @@ from paradedb_ray.streaming import (  # noqa: E402
     StreamConfig,
     StreamEngine,
 )
+from paradedb_ray.streaming.merge_policy import DEFAULT_LAYER_SIZES  # noqa: E402
 from paradedb_ray.testing.transcripts import transcripts_path  # noqa: E402
 
 CHECKPOINT_EVERY = 4
@@ -80,7 +87,28 @@ def main(n_turns: int, n_epochs: int):
         print(f"sessions dir: {len(shards)} compact shards + "
               f"{len(epoch_files)} uncompacted epoch files "
               f"(emitted over {n_epochs} epochs)")
-        assert len(epoch_files) < CHECKPOINT_EVERY, epoch_files
+        # the tail as the last checkpoint tick left it: files no newer
+        # than the tick (no fold can have run since)
+        tick = (n_epochs - 1) // CHECKPOINT_EVERY * CHECKPOINT_EVERY
+        at_tick = [f for f in epoch_files if int(f[6:-8]) <= tick]
+        tail_rows = sum(pq.read_metadata(os.path.join(sdir, f)).num_rows
+                        for f in at_tick)
+        tail_bytes = sum(os.path.getsize(os.path.join(sdir, f))
+                         for f in at_tick)
+        snap_rows = sum(
+            pq.read_metadata(os.path.join(sdir, "compact", f)).num_rows
+            for f in shards)
+        with open(os.path.join(sink, "metrics",
+                               f"epoch={tick:06d}.json")) as f:
+            m = json.load(f)
+        print(f"after tick {tick}: tail {tail_rows} rows / {tail_bytes} B, "
+              f"snapshot {snap_rows} rows, folded={m['sessions_folded']}")
+        assert (m["sessions_tail_rows"], m["sessions_snapshot_rows"]) \
+            == (tail_rows, snap_rows), m
+        assert tail_rows < snap_rows, (tail_rows, snap_rows)
+        assert tail_bytes < DEFAULT_LAYER_SIZES[0], tail_bytes
+        assert len(epoch_files) - len(at_tick) <= CHECKPOINT_EVERY - 1, \
+            epoch_files
         s0 = time.perf_counter()
         sess = r.read_sessions()
         s_dt = time.perf_counter() - s0
