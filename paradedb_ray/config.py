@@ -8,7 +8,7 @@ scattered constants.  Reference default for each knob cited inline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -39,30 +39,12 @@ class EngineConfig:
     lateness_us: int = 3_600_000_000
 
     # -- query execution ---------------------------------------------------
-    #: per-block top-k prune chunk (`limit_fetch_multiplier` family,
-    #: `gucs.rs:354-397`)
-    topk_prune_limit: int = 1000
     #: terms-agg bucket cap (`max_term_agg_buckets`, `gucs.rs`)
     bucket_limit: int = 65_000
     #: aggregation-state byte budget (`pdb.agg` memory_limit,
     #: `api/aggregate.rs:143` default 500MB): abort with an error instead
     #: of letting runaway bucket state grow unbounded
     memory_limit: int = 500_000_000
-    #: snippet defaults (`projections/snippet.rs:33-37`)
-    snippet_max_chars: int = 150
-    snippet_limit: int = 5
-    #: phrase-prefix expansions (`pdb_query.rs` default 50)
-    max_expansions: int = 50
-
-    # -- batch plumbing ----------------------------------------------------
-    #: ingest router batch rows
-    ingest_batch_rows: int = 16_384
-    #: router in-flight batches before backpressure
-    ingest_max_inflight: int = 4
-    #: media stages: rows per batch (large binary payloads)
-    media_batch_rows: int = 256
-
-    extras: dict = field(default_factory=dict)
 
 
 #: process-wide default; mutate fields or replace wholesale before building

@@ -550,13 +550,15 @@ def expand_nulls_keys(table: pa.Table, sort_keys):
     return table, out_keys, helpers
 
 
-def rank_head(table: pa.Table, order_by, limit: int,
+def rank_head(table: pa.Table, order_by, limit: Optional[int],
               offset: int = 0) -> pa.Table:
     """Rows ``offset .. offset+limit`` of ``table`` under ``order_by``
-    (extended keys, see :func:`expand_nulls_keys`) — a stable sort, so
-    equal keys keep their input order.  Every top-k head goes through
-    here: the per-block prune, the chunk keeps, each query's final merge
-    and the facet tree's node and root sorts."""
+    (extended keys, see :func:`expand_nulls_keys`; ``limit=None``: every
+    row from ``offset``) — a stable sort, so equal keys keep their input
+    order.  Every top-k head goes through here: the per-block prune, the
+    chunk keeps, each query's final merge, the facet tree's node and root
+    sorts, and the streaming partition heads and their cross-partition
+    merge."""
     if not order_by:
         return table.slice(offset, limit)
     import pyarrow.compute as pc

@@ -49,7 +49,8 @@ from paradedb_ray.query import ast
 from paradedb_ray.schema import IndexSchema
 from paradedb_ray.index.searcher import GlobalStats
 from paradedb_ray.stages.blocks import collect_table, concat_blocks
-from paradedb_ray.stages.search_stages import collect_stat_requests
+from paradedb_ray.stages.search_stages import (collect_stat_requests,
+                                               rank_head)
 from paradedb_ray.streaming.state_store import (
     Bm25PartitionStore,
     EvalSpec,
@@ -216,6 +217,13 @@ def _route_shard_task(source, arr_base: int, actors: list,
 
 #: tables at least this large ingest through parallel shard-router tasks
 _PARALLEL_INGEST_ROWS = 32_768
+#: rows per batch of ``ingest``'s in-process router and of the
+#: ``ingest_files`` shard routers (``ingest``'s shard routers send a whole
+#: shard at once)
+_ROUTE_BATCH_ROWS = 16_384
+#: ``ingest``'s in-process router: batches in flight before it waits
+#: for acks
+_INGEST_MAX_INFLIGHT = 4
 
 
 class StreamEngine:
@@ -251,8 +259,7 @@ class StreamEngine:
 
     # -- ingest -------------------------------------------------------------
 
-    def ingest(self, source, epoch=None, max_inflight: int = 4,
-               parallel=None) -> dict:
+    def ingest(self, source, epoch=None, parallel=None) -> dict:
         """Route a micro-batch (Dataset or Table) into the partition actors.
 
         Small tables route on the driver (vectorized hash, per-partition
@@ -295,23 +302,24 @@ class StreamEngine:
                 return {"epoch": epoch, "rows": sum(ray.get(refs))}
             total = _route_table(source, arr_base, self.actors,
                                  cfg.num_partitions, cfg.salt_k,
-                                 cfg.key_cols, hot, epoch, 16384,
-                                 max_inflight=max_inflight, gate=cfg.gate)
+                                 cfg.key_cols, hot, epoch, _ROUTE_BATCH_ROWS,
+                                 max_inflight=_INGEST_MAX_INFLIGHT,
+                                 gate=cfg.gate)
             return {"epoch": epoch, "rows": total}
 
         total = 0
-        for b in source.iter_batches(batch_size=16384,
+        for b in source.iter_batches(batch_size=_ROUTE_BATCH_ROWS,
                                      batch_format="pyarrow"):
             if isinstance(b, pa.RecordBatch):
                 b = pa.Table.from_batches([b])
             total += _route_table(
                 b, self._arr_base(epoch, b.num_rows), self.actors,
                 cfg.num_partitions, cfg.salt_k, cfg.key_cols, hot, epoch,
-                16384, max_inflight=max_inflight, gate=cfg.gate)
+                _ROUTE_BATCH_ROWS, max_inflight=_INGEST_MAX_INFLIGHT,
+                gate=cfg.gate)
         return {"epoch": epoch, "rows": total}
 
-    def ingest_files(self, paths: list, epoch=None,
-                     batch_rows: int = 16384) -> dict:
+    def ingest_files(self, paths: list, epoch=None) -> dict:
         """Shard-parallel ingest: one router TASK per parquet shard file;
         each reads its shard and routes batches straight to the partition
         actors (the multi-node shape: routers live wherever the shards
@@ -326,7 +334,7 @@ class StreamEngine:
         refs = [
             _route_shard_task.remote(
                 p, base0 + (i << 28), self.actors, cfg.num_partitions,
-                cfg.salt_k, cfg.key_cols, hot, epoch, batch_rows,
+                cfg.salt_k, cfg.key_cols, hot, epoch, _ROUTE_BATCH_ROWS,
                 gate=cfg.gate)
             for i, p in enumerate(paths)
         ]
@@ -415,8 +423,6 @@ class StreamEngine:
         Per spec: the merge-ranked table (score desc then key asc, cut to
         ``k``), or for a facet the terms table (count desc then value
         asc, pg_search facet semantics, `aggregate/mod.rs` terms agg)."""
-        import pyarrow.compute as pc
-
         stats = self.global_stats(*[s.query for s in specs])
         sp, stp = pickle.dumps(specs), pickle.dumps(stats)
         per_actor = ray.get([a.evaluate.remote(sp, stp)
@@ -438,11 +444,10 @@ class StreamEngine:
                 continue
             t = concat_blocks(parts, _NO_COLUMNS)
             if t.num_rows:
-                sort_keys = ([("score", "descending")] if spec.with_score
-                             else []) + [(c, "ascending")
-                                         for c in self.cfg.key_cols]
-                idx = pc.sort_indices(t, sort_keys=sort_keys)
-                t = t.take(idx if spec.k is None else idx.slice(0, spec.k))
+                t = rank_head(t, ([("score", "descending")]
+                                  if spec.with_score else [])
+                              + [(c, "ascending") for c in self.cfg.key_cols],
+                              spec.k)
             if spec.columns:
                 t = t.select([c for c in spec.columns if c in t.column_names])
             out.append(t)
@@ -544,12 +549,9 @@ class StreamEngine:
         out = concat_blocks(parts, _NO_COLUMNS)
         if not out.num_rows:
             return out
-        import pyarrow.compute as pc
-
-        keys = [c for c in self.cfg.key_cols if c in out.column_names]
-        idx = pc.sort_indices(out, sort_keys=[("distance", "ascending")]
-                              + [(c, "ascending") for c in keys])
-        return out.take(idx.slice(0, k))
+        return rank_head(out, [("distance", "ascending")]
+                         + [(c, "ascending") for c in self.cfg.key_cols
+                            if c in out.column_names], k)
 
     def query_matches(self, query: Union[ast.Query, str],
                       columns: Optional[list] = None) -> pa.Table:

@@ -11,18 +11,22 @@ partition discipline, mirroring pg_search's merge/vacuum locks
 * **sealed segments** — immutable postings built via ``build_segment``;
   background `merge_tick` compacts them in size tiers (layered merge policy,
   `pg_search/src/index/merge_policy.rs:103-300`).
-* **keys / tombstones** — upsert on the ``(conv_id, turn_idx)`` key: a
-  re-arrival replaces the old row (watermark-bounded retraction); the old
-  copy is tombstoned and physically dropped at the next merge/vacuum
-  (MVCC visibility + vacuum, `directory/mvcc.rs`, `delete.rs`).
+* **keys / tombstones** — upsert on the ``(conv_id, turn_idx)`` key.
+  Every row carries the router's ``__arr`` arrival stamp, and one rule
+  arbitrates ingest, ``retract_keys`` and the checkpoint replay alike:
+  the highest ``__arr`` owns the key, a staler arrival is dead on arrival.
+  A superseded copy is tombstoned and physically dropped at the next
+  merge/vacuum (MVCC visibility + vacuum, `directory/mvcc.rs`,
+  `delete.rs`).
 * **session windows** — ``advance_watermark`` closes every conversation
   whose gap-extended interval the watermark passes and emits a session
   summary row (per-session, gap-merge semantics — same as the batch
-  session oracle); a
-  post-close arrival inside the lateness bound re-opens the session
-  (re-emitted under a later epoch; the exactly-once sink keeps the latest).
+  session oracle, one ``_merge_session`` kernel); a post-close arrival
+  inside the lateness bound re-opens the session (re-emitted under a
+  later epoch; the exactly-once sink keeps the latest).
 * **checkpoint** — per-partition manifest (JSON lineage: epoch, seq,
-  watermark, segment files) + segment payloads; ``restore`` resumes.
+  watermark, segment files) + zstd segment payloads + live-map deltas,
+  format ``CHECKPOINT_FORMAT`` only; ``restore`` resumes.
 
 Everything row-level is vectorized numpy/Arrow; actor methods receive whole
 Arrow tables through the object store (zero-copy).
@@ -44,7 +48,13 @@ import ray
 from paradedb_ray.index.searcher import GlobalStats, Hits, Searcher
 from paradedb_ray.index.segment import Segment, build_segment
 from paradedb_ray.schema import IndexSchema
+from paradedb_ray.stages.search_stages import add_column_stats, rank_head
 
+
+#: the one checkpoint layout ``restore`` reads: zstd segment payloads,
+#: stamped live-map deltas over an optional base snapshot, and the full
+#: mutable state in one pickle
+CHECKPOINT_FORMAT = 3
 
 _ZSTD_CODEC = None
 
@@ -128,6 +138,8 @@ class Bm25PartitionStore:
         # upserts resolve identically whether batches arrive through the
         # sequential driver path or out-of-order from parallel shard
         # routers: highest __arr wins, a stale arrival is dead-on-arrival.
+        # Same keys as live_seq.  __arr is not the row identity (a retried
+        # router task re-delivers a row with the same stamp); __seq is.
         self.live_arr: dict = {}
         self.row_seq = 0                 # monotone per-partition row counter
         self.n_dead = 0                  # superseded/retracted copies pending
@@ -151,8 +163,9 @@ class Bm25PartitionStore:
         # uids they have not persisted yet (incremental, like tantivy
         # segment files surviving across commits)
         self.next_seg_uid = 0
-        # live-map checkpoint deltas: arrival triples since the last
-        # checkpoint — checkpoints persist only NEW upsert decisions, a
+        # live-map checkpoint deltas: (key, __seq, __arr) triples of the
+        # upserts and retractions (__seq -1) since the last checkpoint —
+        # checkpoints persist only NEW arbitration inputs, a
         # periodic base snapshot compacts the replay chain (same shape as
         # the incremental segment files: cost ~ new data, not total keys)
         self._live_delta: list = []
@@ -176,6 +189,10 @@ class Bm25PartitionStore:
     # -- ingest -------------------------------------------------------------
 
     def ingest(self, table: pa.Table, epoch: int = 0) -> dict:
+        """Upsert a router batch.  Every row carries the router's ``__arr``
+        arrival stamp, and one rule arbitrates each key in arrival order:
+        no live copy -> fresh; ``__arr`` >= the live copy's -> supersede;
+        otherwise dead on arrival."""
         if table.num_rows == 0:
             return {"part": self.part_id, "n": 0}
         conv = table.column(self.key_cols[0]).to_numpy(zero_copy_only=False)
@@ -188,10 +205,8 @@ class Bm25PartitionStore:
         n_late = int((~ok).sum())
         self.metrics_["late_dropped"] += n_late
         if n_late:
-            dead = table.filter(pa.array(~ok))
-            if "__arr" in dead.column_names:
-                dead = dead.drop_columns(["__arr"])
-            self._dead_letter.append((epoch, dead))
+            self._dead_letter.append(
+                (epoch, table.filter(pa.array(~ok)).drop_columns(["__arr"])))
             table = table.filter(pa.array(ok))
             conv, turn, ts = conv[ok], turn[ok], ts[ok]
         if table.num_rows == 0:
@@ -202,169 +217,73 @@ class Bm25PartitionStore:
         seqs = np.arange(self.row_seq, self.row_seq + len(keys),
                          dtype=np.int64)
         self.row_seq += len(keys)
-        arr = (table.column("__arr").to_numpy(zero_copy_only=False)
-               if "__arr" in table.column_names else None)
+        arr = table.column("__arr").to_numpy(zero_copy_only=False)
         self._live_delta.append((keys_np, seqs, arr))
         live_seq, live_arr = self.live_seq, self.live_arr
-        n_retract = 0
-        n_doa = 0  # dead on arrival (stale __arr raced a newer copy)
-        fresh = np.empty(len(keys), dtype=bool)  # first arrival of its key
-        # fast path: no in-batch duplicate keys (the common case) — probe
-        # collisions with C-speed set intersection + np.isin, bulk-update
-        # the live maps for the disjoint remainder, and run the sequential
-        # arbitration only on the (usually tiny) colliding subset
+        # a row whose key is neither live nor repeated in the batch
+        # interacts with nothing: bulk-update the live maps for those
+        # (C-speed set probes), arbitrate only the (usually tiny) rest
         key_set = set(keys)
-        if len(key_set) == len(keys):
-            # membership must probe live_seq (a superset of live_arr: a
-            # key first ingested without a router stamp has no live_arr
-            # entry but still supersedes)
-            inter = live_seq.keys() & key_set
-            if not inter:
-                fresh[:] = True
-                live_seq.update(zip(keys, seqs.tolist()))
-                if arr is not None:
-                    live_arr.update(zip(keys, arr.tolist()))
+        contested = np.zeros(len(keys), dtype=bool)
+        live_hit = live_seq.keys() & key_set
+        if live_hit:
+            contested |= np.isin(keys_np, np.fromiter(
+                live_hit, dtype=np.int64, count=len(live_hit)))
+        if len(key_set) < len(keys):
+            _, inv, cnt = np.unique(keys_np, return_inverse=True,
+                                    return_counts=True)
+            contested |= cnt[inv] > 1
+        fresh = ~contested  # first arrival of its key
+        free_keys = keys_np[fresh].tolist()
+        live_seq.update(zip(free_keys, seqs[fresh].tolist()))
+        live_arr.update(zip(free_keys, arr[fresh].tolist()))
+        n_retract = n_doa = 0
+        for i in np.flatnonzero(contested).tolist():
+            k, a = keys[i], int(arr[i])
+            prev = live_arr.get(k)
+            if prev is None:
+                fresh[i] = True
+            elif a >= prev:
+                n_retract += 1
             else:
-                hit = np.isin(keys_np,
-                              np.fromiter(inter, dtype=keys_np.dtype,
-                                          count=len(inter)))
-                fresh[:] = ~hit
-                miss_rows = np.flatnonzero(~hit)
-                ks = [keys[i] for i in miss_rows]
-                live_seq.update(zip(ks, seqs[miss_rows].tolist()))
-                if arr is not None:
-                    live_arr.update(zip(ks, arr[miss_rows].tolist()))
-                    for i in np.flatnonzero(hit).tolist():
-                        k, a = keys[i], int(arr[i])
-                        prev = live_arr.get(k)  # None: legacy-stamped key
-                        if prev is None or a >= prev:
-                            n_retract += 1
-                            live_seq[k] = int(seqs[i])
-                            live_arr[k] = a
-                        else:
-                            n_doa += 1
-                else:
-                    for i in np.flatnonzero(hit).tolist():
-                        n_retract += 1
-                        live_seq[keys[i]] = int(seqs[i])
-            if n_retract:
-                self.metrics_["retractions"] += n_retract
-            self.n_dead += n_retract + n_doa
-            return self._ingest_tail(table, conv, ts, fresh, seqs, n_late)
-        if arr is None:
-            # no router stamp: arrival order == call order (legacy path)
-            for i, (k, s) in enumerate(zip(keys, seqs.tolist())):
-                if k in live_seq:
-                    n_retract += 1
-                    fresh[i] = False
-                else:
-                    fresh[i] = True
-                live_seq[k] = s
-        else:
-            for i, (k, s, a) in enumerate(zip(keys, seqs.tolist(),
-                                              arr.tolist())):
-                prev = live_arr.get(k)
-                if prev is None or a >= prev:
-                    if prev is not None or k in live_seq:
-                        n_retract += 1  # supersedes an existing live copy
-                        fresh[i] = False
-                    else:
-                        fresh[i] = True
-                    live_seq[k] = s
-                    live_arr[k] = a
-                else:
-                    n_doa += 1
-                    fresh[i] = False
-        if n_retract:
-            self.metrics_["retractions"] += n_retract
+                n_doa += 1  # a stale arrival raced a newer copy
+                continue
+            live_seq[k] = int(seqs[i])
+            live_arr[k] = a
+        self.metrics_["retractions"] += n_retract
         self.n_dead += n_retract + n_doa
         return self._ingest_tail(table, conv, ts, fresh, seqs, n_late)
 
     def _ingest_tail(self, table: pa.Table, conv, ts, fresh, seqs,
                      n_late: int) -> dict:
-        if "__arr" in table.column_names:
-            # arbitration state lives in live_arr; dropping the stamp
-            # keeps one schema across stamped/legacy batches (freeze
-            # concatenates the buffer) and shrinks stored segments
-            table = table.drop_columns(["__arr"])
-        table = table.append_column("__seq", pa.array(seqs, pa.int64()))
+        # arbitration state lives in live_arr: the stored rows need no
+        # stamp, which shrinks the segments
+        table = table.drop_columns(["__arr"]).append_column(
+            "__seq", pa.array(seqs, pa.int64()))
+        if fresh.all():
+            # all-fresh (the steady-stream common case): group rows by
+            # conv and gap-split each conv's ts chain in numpy, then merge
+            # per CHAIN instead of per row.  Point-by-point gap-merge of a
+            # fresh point set is its connectivity closure, so chain-merge
+            # is result-identical.
+            import pandas as pd
 
-        # session-window maintenance: merge each turn into the conv's
-        # interval set (gap-merge semantics, identical to the batch
-        # session oracle); merging into an already-emitted session marks
-        # it for re-emission (late-data correction / "reopen").  Only the
-        # FIRST arrival of a key counts toward n_turns — upserts replace a
-        # live turn (the batch oracle sees one row) and stale arrivals are
-        # dead; a re-arrival still widens the interval it falls inside.
-        gap = self.session_gap_us
-        if fresh.all() and len(conv):
-            # all-fresh fast path (the steady-stream common case): group
-            # rows by conv and gap-split each conv's ts chain in numpy,
-            # then merge per CHAIN instead of per row.  Point-by-point
-            # gap-merge of a fresh point set is its connectivity closure,
-            # so chain-merge is result-identical (processing in ts order;
-            # re-arrival edge cases never reach here — any non-fresh row
-            # falls back to the per-row loop below).
-            self._sessions_merge_fresh(conv, ts, gap)
-            return self._ingest_finish(table, n_late)
-        for c, t, f in zip(conv, ts, fresh):
-            t = int(t)
-            if f:
-                self.conv_counts[c] = self.conv_counts.get(c, 0) + 1
-            lst = self.sessions.get(c)
-            if lst is None:
-                if not f:
-                    continue
-                self.sessions[c] = [[t, t, 1, None, False]]
-                continue
-            # sessions are few per conv (churn-bounded): linear scan
-            joined = None
-            for s in lst:
-                if s[0] - gap <= t <= s[1] + gap:
-                    joined = s
-                    break
-            if joined is None:
-                if not f:
-                    continue  # a re-arrival never opens a new session
-                lst.append([t, t, 1, None, False])
-                lst.sort(key=lambda s: s[0])
-                continue
-            if not f and joined[0] <= t <= joined[1]:
-                continue  # re-arrival inside the interval: nothing changes
-            if joined[3] is not None and not joined[4]:
-                # an emitted session absorbs a late turn: re-emission due
-                joined[4] = True
-                self.metrics_["reopened"] += 1
-            joined[0] = min(joined[0], t)
-            joined[1] = max(joined[1], t)
-            joined[2] += 1 if f else 0
-            # bridge neighbours the widened interval now touches
-            lst.sort(key=lambda s: s[0])
-            i = lst.index(joined)
-
-            def absorb(other):
-                joined[0] = min(joined[0], other[0])
-                joined[1] = max(joined[1], other[1])
-                joined[2] += other[2]
-                if other[3] is not None:
-                    if joined[3] is None:
-                        joined[3] = other[3]
-                    else:
-                        # two emitted identities merged: the losing one
-                        # gets a tombstone emission (n_turns=0) so the
-                        # sink's latest row for it voids the stale session
-                        self.absorbed.append((c, other[3]))
-                    joined[4] = True
-
-            while i + 1 < len(lst) and lst[i + 1][0] - gap <= joined[1]:
-                absorb(lst.pop(i + 1))
-            while i > 0 and lst[i - 1][1] + gap >= joined[0]:
-                absorb(lst.pop(i - 1))
-                i -= 1
-
-        return self._ingest_finish(table, n_late)
-
-    def _ingest_finish(self, table: pa.Table, n_late: int) -> dict:
+            codes, uconv = pd.factorize(conv)
+            order = np.lexsort((ts, codes))
+            cs = codes[order]
+            tss = ts[order]
+            brk = np.empty(len(cs), dtype=bool)
+            brk[0] = True
+            brk[1:] = ((cs[1:] != cs[:-1])
+                       | ((tss[1:] - tss[:-1]) > self.session_gap_us))
+            starts = np.flatnonzero(brk)
+            ends = np.append(starts[1:], len(cs))
+            for s, e in zip(starts.tolist(), ends.tolist()):
+                self._merge_session(uconv[cs[s]], int(tss[s]),
+                                    int(tss[e - 1]), e - s, True)
+        else:
+            for c, t, f in zip(conv, ts.tolist(), fresh.tolist()):
+                self._merge_session(c, t, t, 1, f)
         self.mutable.append(table)
         self.mutable_count += table.num_rows
         self._mutable_seg = None
@@ -374,66 +293,68 @@ class Bm25PartitionStore:
             self._freeze()
         return {"part": self.part_id, "n": table.num_rows, "late": n_late}
 
-    def _sessions_merge_fresh(self, conv, ts, gap: int):
-        """Merge an all-fresh batch into the session interval sets, one
-        gap-chain at a time (semantics identical to the per-row loop in
-        ``_ingest_tail`` for fresh rows, processed in ts order)."""
-        import pandas as pd
-
-        codes, uconv = pd.factorize(conv)
-        order = np.lexsort((ts, codes))
-        cs = codes[order]
-        tss = ts[order]
-        brk = np.empty(len(cs), dtype=bool)
-        brk[0] = True
-        brk[1:] = (cs[1:] != cs[:-1]) | ((tss[1:] - tss[:-1]) > gap)
-        starts = np.flatnonzero(brk)
-        ends = np.append(starts[1:], len(cs))
-        conv_counts = self.conv_counts
-        sessions = self.sessions
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            c = uconv[cs[s]]
-            lo, hi, n = int(tss[s]), int(tss[e - 1]), e - s
-            conv_counts[c] = conv_counts.get(c, 0) + n
-            lst = sessions.get(c)
-            if lst is None:
-                sessions[c] = [[lo, hi, n, None, False]]
-                continue
-            joined = None
-            for sess in lst:
-                if sess[0] - gap <= hi and lo <= sess[1] + gap:
-                    joined = sess
-                    break
-            if joined is None:
+    def _merge_session(self, c, lo: int, hi: int, n: int, fresh: bool):
+        """Merge ``n`` turns of conv ``c`` spanning ``[lo, hi]`` into its
+        session interval set (gap-merge semantics, identical to the batch
+        session oracle).  Merging into an already-emitted session marks it
+        for re-emission (late-data correction / "reopen").  Only a FRESH
+        key counts toward n_turns: an upsert replaces a live turn (the
+        batch oracle sees one row) and a stale arrival is dead; such a
+        re-arrival still widens the session it touches, but never opens
+        one."""
+        gap = self.session_gap_us
+        if fresh:
+            self.conv_counts[c] = self.conv_counts.get(c, 0) + n
+        else:
+            n = 0
+        lst = self.sessions.get(c)
+        if lst is None:
+            if fresh:
+                self.sessions[c] = [[lo, hi, n, None, False]]
+            return
+        # sessions are few per conv (churn-bounded): linear scan
+        joined = None
+        for s in lst:
+            if s[0] - gap <= hi and lo <= s[1] + gap:
+                joined = s
+                break
+        if joined is None:
+            if fresh:
                 lst.append([lo, hi, n, None, False])
-                lst.sort(key=lambda x: x[0])
-                continue
-            if joined[3] is not None and not joined[4]:
-                # an emitted session absorbs fresh turns: re-emission due
+                lst.sort(key=lambda s: s[0])
+            return
+        if not fresh and joined[0] <= lo and hi <= joined[1]:
+            return  # re-arrival inside the interval: nothing changes
+        if joined[3] is not None and not joined[4]:
+            # an emitted session absorbs a late turn: re-emission due
+            joined[4] = True
+            self.metrics_["reopened"] += 1
+        joined[0] = min(joined[0], lo)
+        joined[1] = max(joined[1], hi)
+        joined[2] += n
+        # bridge the neighbours the widened interval now touches
+        lst.sort(key=lambda s: s[0])
+        i = lst.index(joined)
+
+        def absorb(other):
+            joined[0] = min(joined[0], other[0])
+            joined[1] = max(joined[1], other[1])
+            joined[2] += other[2]
+            if other[3] is not None:
+                if joined[3] is None:
+                    joined[3] = other[3]
+                else:
+                    # two emitted identities merged: the losing one gets a
+                    # tombstone emission (n_turns=0) so the sink's latest
+                    # row for it voids the stale session
+                    self.absorbed.append((c, other[3]))
                 joined[4] = True
-                self.metrics_["reopened"] += 1
-            joined[0] = min(joined[0], lo)
-            joined[1] = max(joined[1], hi)
-            joined[2] += n
-            lst.sort(key=lambda x: x[0])
-            i = lst.index(joined)
 
-            def absorb(other):
-                joined[0] = min(joined[0], other[0])
-                joined[1] = max(joined[1], other[1])
-                joined[2] += other[2]
-                if other[3] is not None:
-                    if joined[3] is None:
-                        joined[3] = other[3]
-                    else:
-                        self.absorbed.append((c, other[3]))
-                    joined[4] = True
-
-            while i + 1 < len(lst) and lst[i + 1][0] - gap <= joined[1]:
-                absorb(lst.pop(i + 1))
-            while i > 0 and lst[i - 1][1] + gap >= joined[0]:
-                absorb(lst.pop(i - 1))
-                i -= 1
+        while i + 1 < len(lst) and lst[i + 1][0] - gap <= joined[1]:
+            absorb(lst.pop(i + 1))
+        while i > 0 and lst[i - 1][1] + gap >= joined[0]:
+            absorb(lst.pop(i - 1))
+            i -= 1
 
     def _freeze(self):
         if not self.mutable:
@@ -629,7 +550,7 @@ class Bm25PartitionStore:
         self.n_dead = 0
         return n
 
-    def retract_keys(self, key_hashes: list, arrs: list = None) -> int:
+    def retract_keys(self, key_hashes: list, arrs: list) -> int:
         """Drop keys whose live copy migrated to another partition (a
         conversation turning hot re-routes new copies to salted partitions;
         the stale copy here must not answer queries) or left a partial-
@@ -638,20 +559,19 @@ class Bm25PartitionStore:
         ``arrs`` (parallel to ``key_hashes``): the retracting row's
         ``__arr`` arrival stamp — the retraction wins only against live
         copies with an OLDER-OR-EQUAL stamp, the same arbitration rule
-        ingest uses.  Without it a replayed stale out-of-gate copy could
-        delete a NEWER live in-gate copy (or a gate-exit delete racing a
-        parallel shard router could lose), breaking replay idempotence.
-        ``arrs=None`` keeps the unconditional semantics for callers that
-        retract by construction-newer knowledge."""
+        ingest uses, so a replayed stale out-of-gate copy never deletes a
+        NEWER live in-gate copy (replay idempotence).  The retraction is
+        logged with ``__seq`` -1 in the live-map delta, so ``restore``
+        replays it in order with the upserts."""
+        self._live_delta.append((np.asarray(key_hashes, dtype=np.int64),
+                                 np.full(len(key_hashes), -1, np.int64),
+                                 np.asarray(arrs, dtype=np.int64)))
         n = 0
-        if arrs is None:
-            arrs = [None] * len(key_hashes)
         for k, a in zip(key_hashes, arrs):
-            if k in self.live_seq:
-                if a is not None and self.live_arr.get(k, -1) > a:
-                    continue  # a newer copy owns the key: stale retraction
+            prev = self.live_arr.get(k)
+            if prev is not None and prev <= a:
                 del self.live_seq[k]
-                self.live_arr.pop(k, None)
+                del self.live_arr[k]
                 self.n_dead += 1
                 n += 1
         self.metrics_["retractions"] += n
@@ -696,8 +616,6 @@ class Bm25PartitionStore:
         helper the batch ``StatsCollector`` uses, so idf and avgdl — and
         thus BM25 ranking — are identical across partitions and identical
         to the stateless batch pipeline (ADVICE r1 #3)."""
-        from paradedb_ray.stages.search_stages import add_column_stats
-
         req = pickle.loads(requests_pickle)
         g = GlobalStats()
         by_field: dict = {}
@@ -770,8 +688,6 @@ class Bm25PartitionStore:
         LIVE hits only: a superseded copy never raises it, so it never
         prunes a live row.  Hits strictly below it never materialize
         (ties are kept for the key-ordered tie-break)."""
-        import pyarrow.compute as pc
-
         k = spec.k
         prune = bool(k) and spec.with_score
         kth = np.float32(-np.inf)
@@ -830,11 +746,10 @@ class Bm25PartitionStore:
             parts.append(sub)
         if not parts:
             return pa.table({})
-        out = pa.concat_tables(parts, promote_options="default")
-        sort_keys = ([("score", "descending")] if spec.with_score else []) \
-            + [(c, "ascending") for c in self.key_cols]
-        idx = pc.sort_indices(out, sort_keys=sort_keys)
-        out = out.take(idx if k is None else idx.slice(0, k))
+        out = rank_head(pa.concat_tables(parts, promote_options="default"),
+                        ([("score", "descending")] if spec.with_score
+                         else []) + [(c, "ascending") for c in self.key_cols],
+                        k)
         # the driver merge-ranks on score and key, then selects columns
         return out.drop_columns([c for c in ("__seq", "__arr")
                                  if c in out.column_names
@@ -893,12 +808,9 @@ class Bm25PartitionStore:
         if not out:
             return pa.table({})
         t = pa.concat_tables(out, promote_options="default")
-        import pyarrow.compute as pc
-
-        keys = [c for c in self.key_cols if c in t.column_names]
-        idx = pc.sort_indices(t, sort_keys=[("distance", "ascending")]
-                              + [(c, "ascending") for c in keys])
-        return t.take(idx.slice(0, k))
+        return rank_head(t, [("distance", "ascending")]
+                         + [(c, "ascending") for c in self.key_cols
+                            if c in t.column_names], k)
 
     # -- checkpoint / restore ----------------------------------------------
 
@@ -915,16 +827,16 @@ class Bm25PartitionStore:
         os.makedirs(d, exist_ok=True)
         for s in self.sealed:
             seg_file = os.path.join(d, f"seg-{s.uid:08d}.pkl.zst")
-            if os.path.exists(seg_file) or os.path.exists(seg_file[:-4]):
-                continue  # immutable: written once (either format)
+            if os.path.exists(seg_file):
+                continue  # immutable: written once
             s._json_cache = {}
             s._vec_cache = {}
             tmp = seg_file + ".tmp"
             with open(tmp, "wb") as f:
                 f.write(_zstd_compress(pickle.dumps(s, protocol=4)))
             os.replace(tmp, seg_file)
-        # live-map deltas: persist only the arrival triples since the last
-        # checkpoint; once the persisted replay chain outgrows the live
+        # live-map deltas: persist only the (key, __seq, __arr) triples of
+        # the upserts and retractions since the last checkpoint; once the persisted replay chain outgrows the live
         # map, compact into one base snapshot (arrays, not dicts)
         if self._live_delta:
             delta_file = os.path.join(d, f"live-{epoch:06d}.pkl")
@@ -943,8 +855,8 @@ class Bm25PartitionStore:
                                count=len(self.live_seq))
             seqs = np.fromiter(self.live_seq.values(), dtype=np.int64,
                                count=len(self.live_seq))
-            arrs = np.array([self.live_arr.get(int(k), -1) for k in keys],
-                            dtype=np.int64)
+            arrs = np.fromiter(map(self.live_arr.__getitem__, self.live_seq),
+                               dtype=np.int64, count=len(self.live_seq))
             tmp = base_file + ".tmp"
             with open(tmp, "wb") as f:
                 pickle.dump((keys, seqs, arrs), f, protocol=4)
@@ -970,7 +882,7 @@ class Bm25PartitionStore:
             pickle.dump(state, f, protocol=4)
         os.replace(tmp, state_file)
         manifest = {
-            "format": 2,
+            "format": CHECKPOINT_FORMAT,
             "part": self.part_id, "epoch": epoch, "seq": self.seq,
             "watermark": self.watermark,
             "state_file": os.path.basename(state_file),
@@ -985,8 +897,7 @@ class Bm25PartitionStore:
             json.dump(manifest, f)
         os.replace(mtmp, os.path.join(d, "manifest.json"))
         # GC: anything the committed manifest doesn't reference
-        live = {f"seg-{s.uid:08d}.pkl" for s in self.sealed}
-        live |= {f"seg-{s.uid:08d}.pkl.zst" for s in self.sealed}
+        live = {f"seg-{s.uid:08d}.pkl.zst" for s in self.sealed}
         live.add(os.path.basename(state_file))
         live.update(self._live_files)
         if self._live_base:
@@ -1001,76 +912,70 @@ class Bm25PartitionStore:
 
     def restore(self, ckpt_dir: str) -> int:
         """Load the latest checkpoint; returns the restored epoch (-1 if
-        none).  Segments load with their postings — no re-tokenization."""
+        none).  Segments load with their postings — no re-tokenization.
+        Raises ``ValueError`` on a checkpoint of any format other than
+        ``CHECKPOINT_FORMAT``."""
         d = os.path.join(ckpt_dir, f"part-{self.part_id:05d}")
         mpath = os.path.join(d, "manifest.json")
         if not os.path.exists(mpath):
             return -1
         with open(mpath) as f:
             manifest = json.load(f)
-        epoch = manifest["epoch"]
+        fmt = manifest.get("format")
+        if fmt != CHECKPOINT_FORMAT:
+            raise ValueError(f"{mpath}: checkpoint format {fmt!r}, this "
+                             f"version reads format {CHECKPOINT_FORMAT} only")
         with open(os.path.join(d, manifest["state_file"]), "rb") as f:
             state = pickle.load(f)
         self.sealed = []
         for m in manifest["segments"]:
-            zpath = os.path.join(d, f"seg-{m['uid']:08d}.pkl.zst")
-            if os.path.exists(zpath):
-                with open(zpath, "rb") as f:
-                    self.sealed.append(
-                        pickle.loads(_zstd_decompress(f.read())))
-            else:  # legacy uncompressed checkpoint
-                with open(zpath[:-4], "rb") as f:
-                    self.sealed.append(pickle.load(f))
+            with open(os.path.join(d, f"seg-{m['uid']:08d}.pkl.zst"),
+                      "rb") as f:
+                self.sealed.append(pickle.loads(_zstd_decompress(f.read())))
         # rebuild the live maps: base snapshot, then replay delta files in
-        # arrival order with the same highest-__arr-wins rule as ingest
+        # call order with the same highest-__arr-wins rule as ingest and
+        # retract_keys
         self.live_seq = {}
         self.live_arr = {}
-        self._live_base = manifest.get("live_base")
-        self._live_files = list(manifest.get("live_deltas", []))
+        self._live_base = manifest["live_base"]
+        self._live_files = list(manifest["live_deltas"])
         self._live_delta = []
         if self._live_base:
             with open(os.path.join(d, self._live_base), "rb") as f:
                 keys, seqs, arrs = pickle.load(f)
             self.live_seq = dict(zip(keys.tolist(), seqs.tolist()))
-            self.live_arr = {k: a for k, a in zip(keys.tolist(),
-                                                  arrs.tolist())
-                             if a >= 0}
+            self.live_arr = dict(zip(keys.tolist(), arrs.tolist()))
         self._live_rows_persisted = len(self.live_seq)
+        get = self.live_arr.get
         for fn in self._live_files:
             with open(os.path.join(d, fn), "rb") as f:
                 triples = pickle.load(f)
             for keys, seqs, arrs in triples:
                 self._live_rows_persisted += len(keys)
-                if arrs is None:
-                    for k, s in zip(keys.tolist(), seqs.tolist()):
+                for k, s, a in zip(keys.tolist(), seqs.tolist(),
+                                   arrs.tolist()):
+                    prev = get(k)
+                    if s < 0:  # a retraction (see ``retract_keys``)
+                        if prev is not None and prev <= a:
+                            del self.live_seq[k]
+                            del self.live_arr[k]
+                    elif prev is None or a >= prev:
                         self.live_seq[k] = s
-                else:
-                    get = self.live_arr.get
-                    for k, s, a in zip(keys.tolist(), seqs.tolist(),
-                                       arrs.tolist()):
-                        prev = get(k)
-                        if prev is None or a >= prev:
-                            self.live_seq[k] = s
-                            self.live_arr[k] = a
-        if "live_seq" in state:  # legacy full-dict checkpoints
-            self.live_seq = state["live_seq"]
-            self.live_arr = state.get("live_arr", {})
+                        self.live_arr[k] = a
         self.row_seq = state["row_seq"]
         self.n_dead = state["n_dead"]
         self.sessions = state["sessions"]
-        self.absorbed = state.get("absorbed", [])
-        self.n_emitted = state.get("n_emitted", 0)
+        self.absorbed = state["absorbed"]
+        self.n_emitted = state["n_emitted"]
         self.conv_counts = state["conv_counts"]
         self.watermark = state["watermark"]
         self.seq = state["seq"]
-        self.next_seg_uid = state.get(
-            "next_seg_uid",
-            1 + max((m["uid"] for m in manifest["segments"]), default=-1))
+        self.next_seg_uid = state["next_seg_uid"]
         self.metrics_ = state["metrics"]
         self.mutable = []
         self.mutable_count = 0
         self._mutable_seg = None
-        return epoch
+        return manifest["epoch"]
 
     # -- introspection ------------------------------------------------------
 
@@ -1151,10 +1056,6 @@ class Bm25PartitionStore:
         first REAL epoch doesn't pay per-actor import/codegen cost
         (hot-protocol warmup; a standing deployment's actors are long-
         lived).  No state mutation — everything is local."""
-        import pyarrow as pa
-
-        from paradedb_ray.index.segment import build_segment
-
         cols: dict = {}
         for f in self.schema.fields.values():
             if f.ftype == "text":
@@ -1169,10 +1070,7 @@ class Bm25PartitionStore:
                 cols[f.name] = pa.array([0.0], pa.float64())
             else:
                 continue
-        try:
-            build_segment(pa.table(cols), self.schema)
-        except Exception:
-            pass
+        build_segment(pa.table(cols), self.schema)
         return True
 
     def metrics(self) -> dict:

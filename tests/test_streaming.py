@@ -905,14 +905,16 @@ def test_sessions_sink_compaction(ray_session, turns, tmp_path):
     assert want.equals(got_c), "post-resume read_sessions diverged"
 
 
-def test_checkpoint_segments_compressed_with_legacy_fallback(
+def test_checkpoint_segments_compressed_and_other_formats_rejected(
         ray_session, turns, tmp_path):
-    """Segment checkpoint files are zstd-compressed; a checkpoint whose
-    segment files were written uncompressed (legacy .pkl) still restores."""
+    """Segment checkpoint files are zstd-compressed and round-trip; a
+    manifest of any other checkpoint format makes ``restore`` raise."""
     import glob
+    import json
     import os
     import pickle
 
+    from paradedb_ray.index.segment import Segment
     from paradedb_ray.streaming.state_store import _zstd_decompress
 
     ckpt = str(tmp_path / "ckpt")
@@ -927,13 +929,10 @@ def test_checkpoint_segments_compressed_with_legacy_fallback(
 
     seg_files = glob.glob(os.path.join(ckpt, "part-*", "seg-*.pkl.zst"))
     assert seg_files, "segments must be written compressed"
-    # downgrade every segment to the legacy uncompressed layout
     for p in seg_files:
         with open(p, "rb") as f:
-            seg = pickle.loads(_zstd_decompress(f.read()))
-        with open(p[:-4], "wb") as f:
-            pickle.dump(seg, f, protocol=4)
-        os.remove(p)
+            assert isinstance(pickle.loads(_zstd_decompress(f.read())),
+                              Segment)
 
     eng2 = _engine(ckpt, parts=2)
     try:
@@ -944,53 +943,138 @@ def test_checkpoint_segments_compressed_with_legacy_fallback(
     finally:
         eng2.shutdown()
 
+    # an older layout (format 2 read uncompressed segments, unstamped
+    # deltas and partial state) is refused, not guessed at
+    mpath = os.path.join(ckpt, "part-00000", "manifest.json")
+    with open(mpath) as f:
+        manifest = json.load(f)
+    manifest["format"] = 2
+    with open(mpath, "w") as f:
+        json.dump(manifest, f)
+    eng3 = _engine(ckpt, parts=2)
+    try:
+        with pytest.raises(ValueError, match="format 2"):
+            eng3.restore()
+    finally:
+        eng3.shutdown()
 
-def test_mixed_legacy_then_stamped_upsert_counts():
-    """A key first ingested WITHOUT a router __arr stamp must still be
-    superseded (retraction counted, old copy invisible) when the same key
-    later arrives stamped — the ingest fast path probes live_seq, which
-    is a superset of live_arr (round-4 regression guard)."""
+
+def _stamped_turns(rows) -> pa.Table:
+    """One conv's turns ``(turn_idx, text, __arr)``, ts = t0 + turn_idx."""
+    t0 = 1_700_000_000_000_000
+    return pa.table({
+        "conv_id": pa.array(["c"] * len(rows)),
+        "turn_idx": pa.array([r[0] for r in rows], pa.int32()),
+        "role": pa.array(["user"] * len(rows)),
+        "text": pa.array([r[1] for r in rows]),
+        "tool": pa.array([""] * len(rows)),
+        "ts": pa.array([t0 + r[0] for r in rows], pa.timestamp("us")),
+        "__arr": pa.array([r[2] for r in rows], pa.int64())})
+
+
+def _partition_store():
     import pickle
 
-    import numpy as np
-    import pyarrow as pa
-
-    from paradedb_ray.schema import transcripts_schema
     from paradedb_ray.streaming.state_store import Bm25PartitionStore
 
-    cls = Bm25PartitionStore.__ray_actor_class__
-    s = cls(0, pickle.dumps(transcripts_schema()), mutable_rows=1000)
+    return Bm25PartitionStore.__ray_actor_class__(
+        0, pickle.dumps(transcripts_schema()), mutable_rows=1000)
 
-    def tbl(texts, arr=None):
-        n = len(texts)
-        t = pa.table({
-            "conv_id": pa.array(["c"] * n),
-            "turn_idx": pa.array(list(range(n)), pa.int32()),
-            "role": pa.array(["user"] * n),
-            "text": pa.array(texts),
-            "tool": pa.array([""] * n),
-            "ts": pa.array([1_700_000_000_000_000 + i for i in range(n)],
-                           pa.timestamp("us"))})
-        if arr is not None:
-            t = t.append_column("__arr", pa.array(arr, pa.int64()))
-        return t
 
-    s.ingest(tbl(["old zero", "old one"]))            # legacy, no stamp
-    assert s.metrics_["retractions"] == 0
-    s.ingest(tbl(["new zero", "new one"], arr=[10, 11]))  # stamped upsert
-    assert s.metrics_["retractions"] == 2
-    assert s.n_dead == 2
-    # visible copies are the stamped ones
+def _visible_turns(s) -> list:
+    """(turn_idx, text) of the live copies in a partition store."""
     s._freeze()
     cols = ["conv_id", "turn_idx", "text", "__seq"]
     vis = s._visible_only(pa.concat_tables(
-        [seg.table.select(cols) for seg in s.sealed]).combine_chunks())
-    texts = sorted(vis.column("text").to_pylist())
-    assert texts == ["new one", "new zero"]
-    # a stale stamped arrival is dead on arrival
-    s.ingest(tbl(["stale zero", "stale one"], arr=[5, 6]))
-    assert s.n_dead == 4
+        [seg.table.select(cols) for seg in s.sealed]).combine_chunks(),
+        force=True)
+    return sorted(zip(vis.column("turn_idx").to_pylist(),
+                      vis.column("text").to_pylist()))
+
+
+def test_ingest_arbitration_in_arrival_order():
+    """Upserts arbitrate in arrival order by the router's ``__arr``
+    stamp, within a batch and across batches: no live copy -> fresh, a
+    newer-or-equal stamp supersedes, a staler one is dead on arrival, and
+    a stale retraction is a no-op.  Only fresh keys count as session
+    turns."""
+    from paradedb_ray.streaming.state_store import _key_hash
+
+    s = _partition_store()
+    # one key three times in a batch: 5 fresh, 3 dead, 7 supersedes
+    s.ingest(_stamped_turns([(0, "arr five", 5), (0, "arr three", 3),
+                             (0, "arr seven", 7), (1, "other", 4)]))
+    assert s.metrics_["retractions"] == 1
+    assert s.n_dead == 2
+    assert _visible_turns(s) == [(0, "arr seven"), (1, "other")]
+    # a later batch: 6 is stale against 7, 9 supersedes, turn 2 is fresh
+    s.ingest(_stamped_turns([(0, "arr six", 6), (0, "arr nine", 9),
+                             (2, "fresh", 8)]))
     assert s.metrics_["retractions"] == 2
+    assert s.n_dead == 4
+    # a retraction stamped 8 loses against the live copy stamped 9
+    kh = _key_hash(np.array(["c"], dtype=object), np.array([0])).tolist()
+    assert s.retract_keys(kh, [8]) == 0
+    assert s.metrics_["retractions"] == 2
+    assert s.n_dead == 4
+    assert _visible_turns(s) == [(0, "arr nine"), (1, "other"),
+                                 (2, "fresh")]
+    assert [x[2] for x in s.sessions["c"]] == [3]
+
+
+def test_ingest_arbitration_matches_sequential_reference():
+    """Random stamped batches with in-batch duplicates, re-arrivals of
+    live keys and stale stamps: the store's bulk-update-plus-loop
+    arbitration leaves the same live maps and counters as arbitrating
+    every row one at a time in arrival order."""
+    from paradedb_ray.streaming.state_store import _key_hash
+
+    rng = np.random.RandomState(11)
+    s = _partition_store()
+    live_seq, live_arr = {}, {}
+    n_retract = n_dead = seq = 0
+    for b in range(12):
+        turns = rng.randint(0, 40, size=int(rng.randint(1, 30)))
+        arrs = rng.randint(0, 1000, size=len(turns)) + 500 * b
+        s.ingest(_stamped_turns([(int(t), "x", int(a))
+                                 for t, a in zip(turns, arrs)]))
+        keys = _key_hash(np.array(["c"] * len(turns), dtype=object),
+                         turns).tolist()
+        for k, a in zip(keys, arrs.tolist()):
+            prev = live_arr.get(k)
+            if prev is None or a >= prev:
+                n_retract += prev is not None
+                live_seq[k], live_arr[k] = seq, a
+            n_dead += prev is not None
+            seq += 1
+    assert s.live_seq == live_seq and s.live_arr == live_arr
+    assert s.metrics_["retractions"] == n_retract
+    assert s.n_dead == n_dead
+
+
+def test_restore_replays_checkpointed_retraction(tmp_path):
+    """A retraction committed by a checkpoint stays applied after
+    ``restore``: the live-map delta logs it in order with the upserts,
+    so the retracted copy does not come back and a later upsert of the
+    key still wins."""
+    from paradedb_ray.streaming.state_store import _key_hash
+
+    ckpt = str(tmp_path / "ckpt")
+    s = _partition_store()
+    s.ingest(_stamped_turns([(0, "zero", 10), (1, "one", 11)]))
+    s.checkpoint(ckpt, 0)
+    kh = _key_hash(np.array(["c", "c"], dtype=object),
+                   np.array([0, 1])).tolist()
+    assert s.retract_keys(kh, [12, 5]) == 1  # turn 1's stamp 11 > 5
+    s.ingest(_stamped_turns([(1, "one again", 13)]))
+    s.checkpoint(ckpt, 1)
+    want = _visible_turns(s)
+    assert want == [(1, "one again")]
+
+    r = _partition_store()
+    assert r.restore(ckpt) == 1
+    assert r.live_seq == s.live_seq and r.live_arr == s.live_arr
+    assert _visible_turns(r) == want
 
 
 def test_force_merge_collapses_segments(ray_session, turns):

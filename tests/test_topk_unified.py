@@ -142,7 +142,8 @@ def test_stream_stats_partial_matches_stats_collector(ray_session):
         store = Bm25PartitionStore.remote(
             0, pickle.dumps(schema), mutable_rows=mutable_rows,
             key_cols=("id", "id"), ts_col="created_at")
-        ray.get(store.ingest.remote(table))
+        ray.get(store.ingest.remote(table.append_column(
+            "__arr", pa.array(np.arange(table.num_rows), pa.int64()))))
         g = pickle.loads(ray.get(store.stats_partial.remote(
             pickle.dumps(req))))
         ray.kill(store)
