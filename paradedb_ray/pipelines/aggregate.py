@@ -75,6 +75,10 @@ def sql_aggregate(
         from paradedb_ray.stages.hash_agg import hash_distinct_count
 
         rest = {n: kc for n, kc in aggs.items() if kc[0] != "cardinality"}
+        if len(card) + bool(rest) > 1:
+            # several consumers: execute the input (and its filter) once,
+            # not once per consumer's ``to_arrow_refs``
+            ds = ds.materialize()
         outs = []
         for name, col in card.items():
             # two-stage hash distinct (stages/hash_agg.py): block-local
@@ -88,6 +92,11 @@ def sql_aggregate(
         import pandas as pd
 
         dfs = [o.to_pandas() for o in outs]  # aggregate outputs are small
+        if group_by and not any(len(d) for d in dfs):
+            # no groups: Ray's to_pandas drops an empty frame's columns,
+            # so rebuild the typed empty shape in the merged column order
+            return ray.data.from_arrow(_empty_bucket_table(
+                ds, group_by, {**rest, **{n: aggs[n] for n in card}}))
         if group_by:
             merged = functools.reduce(
                 lambda a, b: a.merge(b, on=group_by, how="outer"), dfs)
@@ -262,14 +271,12 @@ def _empty_bucket_table(input_ds, group_by: list, aggs: dict,
     no rows (`empty_aggregate.sql`: aggregates over empty matches must
     keep their shape, issue #2996 in the reference)."""
     types: dict = {}
-    try:
-        sch = input_ds.schema(fetch_if_missing=False)
-        if sch is not None:
-            for nm, t in zip(sch.names, sch.types):
-                if isinstance(t, pa.DataType):
-                    types[nm] = t
-    except Exception:
-        pass
+    # cached or plan-inferred metadata only: never executes ``input_ds``
+    sch = input_ds.schema(fetch_if_missing=False)
+    if sch is not None:
+        for nm, t in zip(sch.names, sch.types):
+            if isinstance(t, pa.DataType):
+                types[nm] = t
     if key_types:
         types.update(key_types)
     cols: dict = {}
@@ -431,6 +438,9 @@ def pdb_agg(
     ds = _derive_json_path_fields(ds, schema, agg_json)
     entries = list(agg_json.items())
     if len(entries) != 1 or _has_sibling_buckets(entries[0][1]):
+        if filter_query is not None:
+            # every sibling path reads the filtered rows: filter once
+            ds = ds.materialize()
         return _pdb_agg_flat(ds, agg_json, bucket_limit, memory_limit)
     [(name, spec)] = entries
     bucket_kinds = {"terms", "histogram", "date_histogram", "range"}
@@ -1682,7 +1692,8 @@ def window_aggregate(ds: ray.data.Dataset, aggs: dict,
         from paradedb_ray.pipelines.search import search
 
         assert schema is not None
-        ds = search(ds, schema, filter_query, with_score=False)
+        # the filtered rows feed the aggregate AND the returned rows
+        ds = search(ds, schema, filter_query, with_score=False).materialize()
     row = sql_aggregate(ds, [], aggs).take_all()[0]
 
     def attach(batch: pa.Table) -> pa.Table:

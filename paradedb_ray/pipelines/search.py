@@ -37,6 +37,22 @@ from paradedb_ray.stages.search_stages import (QueryPacketBuilder,
 SortKey = tuple  # (column, "ascending"|"descending"); "score" allowed
 
 
+#: query attributes that hold child queries: lists of them, or one
+_LIST_CHILDREN = ("must", "should", "must_not", "disjuncts")
+_NODE_CHILDREN = ("query", "indexed_query")
+
+
+def _subqueries(q: ast.Query):
+    """The direct child queries of ``q`` — the one child walk shared by
+    column pruning, MLT resolution and the stats-pass decision."""
+    for attr in _LIST_CHILDREN:
+        yield from getattr(q, attr, None) or ()
+    for attr in _NODE_CHILDREN:
+        sub = getattr(q, attr, None)
+        if isinstance(sub, ast.Query):
+            yield sub
+
+
 def _prune_columns(ds, schema: IndexSchema, queries, output_columns,
                    snippet_cfgs=None,
                    extra: Sequence[str] = ()) -> "ray.data.Dataset":
@@ -49,12 +65,7 @@ def _prune_columns(ds, schema: IndexSchema, queries, output_columns,
     def walk(q, acc: set) -> bool:
         if isinstance(q, ast.HeapFilter):
             return False  # opaque predicate: unknown column needs
-        for attr in ("must", "should", "must_not", "disjuncts"):
-            for c in getattr(q, attr, None) or ():
-                if not walk(c, acc):
-                    return False
-        sub = getattr(q, "query", None)
-        if isinstance(sub, ast.Query) and not walk(sub, acc):
+        if not all(walk(c, acc) for c in _subqueries(q)):
             return False
         f = getattr(q, "field", None)
         if isinstance(f, str):
@@ -145,15 +156,26 @@ def resolve_more_like_this(ds: ray.data.Dataset, schema: IndexSchema,
                 (fname, r.get(fname)) for fname in wanted
                 if fname in schema.fields and r.get(fname) is not None]
             return q2
-        for attr in ("must", "should", "must_not", "disjuncts"):
-            if hasattr(q, attr) and getattr(q, attr):
+        for attr in _LIST_CHILDREN:
+            if getattr(q, attr, None):
                 setattr(q, attr, [walk(c) for c in getattr(q, attr)])
-        for attr in ("query", "indexed_query"):
-            if hasattr(q, attr) and isinstance(getattr(q, attr), ast.Query):
+        for attr in _NODE_CHILDREN:
+            if isinstance(getattr(q, attr, None), ast.Query):
                 setattr(q, attr, walk(getattr(q, attr)))
         return q
 
     return walk(query)
+
+
+def _matches_need_stats(q: ast.Query) -> bool:
+    """Whether ``q``'s match set depends on the corpus stats.  A
+    ``ScoreFilter`` keeps hits by score, and ``MoreLikeThis`` picks its
+    terms by document frequency (``min/max_doc_frequency`` and the
+    ``max_query_terms`` cut), so segment-local stats would make either
+    depend on the block layout.  Every other node matches the same docs
+    under any stats."""
+    return isinstance(q, (ast.ScoreFilter, ast.MoreLikeThis)) or any(
+        _matches_need_stats(c) for c in _subqueries(q))
 
 
 def search(
@@ -170,12 +192,20 @@ def search(
 
     ``query`` may be an AST node or a query string (parsed over the
     schema's default search fields, i.e. ``paradedb.parse``).
+
+    The stats pass runs only when something reads a score: it is skipped
+    when ``with_score=False``, no ``snippet_cfgs`` and no ``stats`` are
+    given and no ``ScoreFilter`` or ``MoreLikeThis`` sits anywhere in
+    ``query``.  Each block then matches with its own segment-local stats,
+    which select the same rows (a term absent from a block has no
+    postings there under any stats).
     """
     if isinstance(query, str):
         query = ast.Parse(query)
     query = resolve_more_like_this(ds, schema, query)
     ds = _prune_columns(ds, schema, [query], output_columns, snippet_cfgs)
-    if stats is None:
+    if stats is None and (with_score or snippet_cfgs
+                          or _matches_need_stats(query)):
         stats = compute_global_stats(ds, schema, query)
     scorer = SegmentScorer(schema, {"q": query}, stats,
                            with_score=with_score, snippet_cfgs=snippet_cfgs,
@@ -602,7 +632,9 @@ def search_count(
 ) -> int:
     """COUNT(*) of matching rows (aggregate pushdown fast path,
     `aggregatescan` COUNT(*): only per-block counts leave the workers,
-    never the matched rows)."""
+    never the matched rows).  Like :func:`search` with
+    ``with_score=False``, it makes a stats pass only for a query whose
+    match set reads stats."""
     from paradedb_ray.index.searcher import Searcher
     from paradedb_ray.index.segment import build_segment
 
@@ -611,7 +643,7 @@ def search_count(
     query = resolve_more_like_this(ds, schema, query)
     ds = _prune_columns(ds, schema, [query],
                         output_columns=list(schema.key_fields) or None)
-    if stats is None:
+    if stats is None and _matches_need_stats(query):
         stats = compute_global_stats(ds, schema, query)
     store_pos = needs_positions(query, schema)
 

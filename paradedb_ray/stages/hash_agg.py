@@ -183,7 +183,13 @@ def _agg_final(key_cols: list, specs: list, aggs: dict, *parts) -> pa.Table:
 
 
 def _exec_blocks_schema(ds: ray.data.Dataset):
-    """Execute ``ds`` ONCE and return ``(block_refs, schema)``.
+    """Execute ``ds`` once per call and return ``(block_refs, schema)``.
+
+    A lazy Dataset re-executes on every ``to_arrow_refs``, so each call
+    re-runs the whole upstream pipeline.  The rule: a Dataset that feeds
+    more than one consumer is materialized by its caller (as
+    ``sql_aggregate`` does before fanning out to its cardinality and
+    other aggregates).
 
     Calling ``ds.schema()`` on a not-yet-executed mapped dataset launches
     a SEPARATE limit-1 probe execution — recomputing every upstream stage,

@@ -372,12 +372,14 @@ def compute_global_stats(ds, schema: IndexSchema, query,
 
 class SegmentScorer:
     """Score a ``{name: query}`` dict against one segment with the
-    broadcast global stats.  Per query: the matching rows (+``score`` f32,
-    +snippet columns), projected to ``columns``, pruned to the
-    ``prune_limit`` head under ``sort_keys`` (pg_search's per-segment
-    top-k collector, `scan/segmented_topk_exec.rs`), tagged with
-    ``query_id`` and cast to ``out_schema`` when those are given.  The
-    segment is built once and shared by every query.
+    broadcast global stats (``None``: each segment's own stats, for
+    score-free filters whose match sets do not read them).  Per query:
+    the matching rows (+``score`` f32, +snippet columns), projected to
+    ``columns``, pruned to the ``prune_limit`` head under ``sort_keys``
+    (pg_search's per-segment top-k collector,
+    `scan/segmented_topk_exec.rs`), tagged with ``query_id`` and cast to
+    ``out_schema`` when those are given.  The segment is built once and
+    shared by every query.
 
     Called on a Dataset block it scores the block's full segment;
     :meth:`score_packets` scores the candidate mini-segments of
@@ -385,7 +387,8 @@ class SegmentScorer:
     scores match the two-pass route bitwise."""
 
     def __init__(self, schema: IndexSchema, queries: dict,
-                 stats: GlobalStats, *, with_score: bool = True,
+                 stats: Optional[GlobalStats], *,
+                 with_score: bool = True,
                  snippet_cfgs: Optional[list] = None,
                  prune_limit: Optional[int] = None,
                  sort_keys: Optional[list] = None,

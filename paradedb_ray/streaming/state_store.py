@@ -791,8 +791,10 @@ class Bm25PartitionStore:
         stats = pickle.loads(stats_pickle) if stats_pickle else None
         out = []
         for seg in self._all_segments():
+            # no dead copies pending: every stored row is live
             mask = (self._visible_mask(seg.table)
-                    if "__seq" in seg.table.column_names else None)
+                    if self.n_dead and "__seq" in seg.table.column_names
+                    else None)
             s = Searcher(seg, self.schema, stats=stats)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")

@@ -244,3 +244,63 @@ def test_vector_checkpoint_restore(ray_session, tmp_path):
         assert before == after
     finally:
         eng2.shutdown()
+
+
+def test_partition_knn_visibility_with_and_without_dead_rows():
+    """``Bm25PartitionStore.knn`` builds no visibility mask while no dead
+    copy is pending, and its results equal a brute-force cosine top-k
+    over the live rows both before and after upserts leave dead copies
+    (sealed segments and the mutable buffer alike)."""
+    import datetime
+    import pickle
+
+    from paradedb_ray.streaming.state_store import Bm25PartitionStore
+
+    schema = IndexSchema.build(
+        key_field=["conv_id", "turn_idx"],
+        conv_id={"type": "keyword"},
+        turn_idx={"type": "i64", "fast": True},
+        ts={"type": "date"},
+        vec={"type": "vector", "dim": 4, "metric": "cosine"})
+    rng = np.random.RandomState(7)
+    n = 120
+    mat = rng.randn(n, 4).astype(np.float32)
+    base = datetime.datetime(2026, 1, 1)
+
+    def rows(turns, vecs, arr0):
+        return pa.table({
+            "conv_id": pa.array([f"c{i % 5}" for i in turns]),
+            "turn_idx": pa.array(turns, pa.int64()),
+            "ts": pa.array([base + datetime.timedelta(seconds=int(i))
+                            for i in turns]),
+            "vec": pa.array(vecs.tolist(), pa.list_(pa.float32())),
+            "__arr": pa.array(np.arange(len(turns)) + arr0, pa.int64())})
+
+    store = Bm25PartitionStore.__ray_actor_class__(
+        0, pickle.dumps(schema), mutable_rows=50)
+    store.ingest(rows(np.arange(100), mat[:100], 0))  # sealed
+    store.ingest(rows(np.arange(100, n), mat[100:], 100))  # buffered
+    masks = []
+    orig = store._visible_mask
+    store._visible_mask = lambda t: (masks.append(t.num_rows), orig(t))[1]
+
+    def brute(q, k):
+        m = mat.astype(np.float64)
+        d = 1.0 - (m @ q) / (np.linalg.norm(m, axis=1) * np.linalg.norm(q))
+        return np.lexsort((np.arange(n), d))[:k].tolist()
+
+    q = mat[17].astype(np.float64)
+    assert store.n_dead == 0 and store.sealed and store.mutable
+    got = store.knn("vec", q, "<=>", 6)
+    assert got.column("turn_idx").to_pylist() == brute(q, 6)
+    assert masks == []
+
+    # upsert the 6 nearest turns to far-away vectors: dead copies pending
+    near = np.array(brute(q, 6), np.int64)
+    mat[near] = -mat[near]
+    store.ingest(rows(near, mat[near], n))
+    assert store.n_dead == len(near)
+    got = store.knn("vec", q, "<=>", 6)
+    assert got.column("turn_idx").to_pylist() == brute(q, 6)
+    assert not set(near.tolist()) & set(got.column("turn_idx").to_pylist())
+    assert masks
