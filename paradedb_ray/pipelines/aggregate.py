@@ -6,8 +6,9 @@ terms / histogram / date_histogram / range buckets with metric sub-aggs.
 
 Design: derived bucket keys are appended as columns in a stateless
 ``map_batches`` (vectorized pyarrow.compute), FILTER clauses become masked
-value columns, and the wide step is a single native
-``groupby().aggregate()`` hash shuffle with partial pre-aggregation.
+value columns, and the wide step is the one two-stage hash aggregate
+(`stages/hash_agg.py::hash_group_aggregate`): block-local partials, one
+hash shuffle, one merge per partition.
 """
 
 from __future__ import annotations
@@ -19,29 +20,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
-from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
 from paradedb_ray.query import ast
 from paradedb_ray.schema import IndexSchema
-from paradedb_ray.stages.blocks import cluster_cpus, tree_reduce_refs
-
-
-#: aggregate spec: (kind, column) with kind in
-#: count_star | count | sum | avg | min | max
-def _ray_agg(kind: str, col: Optional[str], name: str):
-    if kind == "count_star":
-        return Count(alias_name=name)
-    if kind == "count":
-        return Count(on=col, ignore_nulls=True, alias_name=name)
-    if kind == "sum":
-        return Sum(on=col, alias_name=name)
-    if kind == "avg":
-        return Mean(on=col, alias_name=name)
-    if kind == "min":
-        return Min(on=col, alias_name=name)
-    if kind == "max":
-        return Max(on=col, alias_name=name)
-    raise ValueError(f"unknown aggregate kind {kind!r}")
+from paradedb_ray.stages.blocks import (cluster_cpus, collect_table,
+                                        tree_reduce_refs)
 
 
 def sql_aggregate(
@@ -53,11 +36,18 @@ def sql_aggregate(
     agg_filters: Optional[dict] = None,
 ) -> ray.data.Dataset:
     """GROUP BY + aggregates with optional search filter and per-aggregate
-    FILTER clauses.
+    FILTER clauses: one call of the two-stage hash aggregate
+    (`stages/hash_agg.py::hash_group_aggregate`) for every grouping and
+    kind.
 
-    ``aggs``: name -> (kind, column|None).  ``agg_filters``: name -> callable
-    (pa.Table -> bool mask) implementing ``FILTER (WHERE ...)`` by masking
-    the value column to null before the shuffle.
+    ``aggs``: name -> (kind, column|None), kind in count_star | count |
+    sum | avg | min | max | cardinality (exact COUNT(DISTINCT column),
+    NULLs skipped).  ``agg_filters``: name -> callable (pa.Table -> bool
+    mask) implementing ``FILTER (WHERE ...)`` by masking the aggregate's
+    input to null (a ``__mask_<name>`` column) before the shuffle.
+    Ungrouped runs on one reducer (``P = 1``) and returns SQL's one row,
+    even over no rows.  Grouped output has no ordering contract (callers
+    sort).
     """
     if filter_query is not None:
         from paradedb_ray.pipelines.search import search
@@ -65,128 +55,31 @@ def sql_aggregate(
         assert schema is not None
         ds = search(ds, schema, filter_query, with_score=False)
 
-    agg_filters = agg_filters or {}
-
-    # cardinality (exact COUNT(DISTINCT col)): two-stage shuffle — distinct
-    # on (keys, col) then count per keys — computed separately and joined
-    # back onto the other aggregates' (small) result
-    card = {n: c for n, (k, c) in aggs.items() if k == "cardinality"}
-    if card:
-        from paradedb_ray.stages.hash_agg import hash_distinct_count
-
-        rest = {n: kc for n, kc in aggs.items() if kc[0] != "cardinality"}
-        if len(card) + bool(rest) > 1:
-            # several consumers: execute the input (and its filter) once,
-            # not once per consumer's ``to_arrow_refs``
-            ds = ds.materialize()
-        outs = []
-        for name, col in card.items():
-            # two-stage hash distinct (stages/hash_agg.py): block-local
-            # dedup -> tuple-hash split -> per-part dedup + partial counts
-            outs.append(hash_distinct_count(ds, group_by or [], col, name))
-        if rest:
-            outs.insert(0, sql_aggregate(ds, group_by, rest,
-                                         agg_filters=agg_filters))
-        import functools
-
-        import pandas as pd
-
-        dfs = [o.to_pandas() for o in outs]  # aggregate outputs are small
-        if group_by and not any(len(d) for d in dfs):
-            # no groups: Ray's to_pandas drops an empty frame's columns,
-            # so rebuild the typed empty shape in the merged column order
-            return ray.data.from_arrow(_empty_bucket_table(
-                ds, group_by, {**rest, **{n: aggs[n] for n in card}}))
-        if group_by:
-            merged = functools.reduce(
-                lambda a, b: a.merge(b, on=group_by, how="outer"), dfs)
-        else:
-            merged = pd.concat([d.reset_index(drop=True) for d in dfs], axis=1)
-        return ray.data.from_pandas(merged)
-
-    needs_mask = {n for n in aggs if n in agg_filters}
-
-    if needs_mask:
+    masked = {n: kc for n, kc in aggs.items() if n in (agg_filters or {})}
+    if masked:
         def add_masked(batch: pa.Table) -> pa.Table:
-            for name in needs_mask:
-                kind, col = aggs[name]
-                mask = pa.array(np.asarray(agg_filters[name](batch), dtype=bool))
-                if kind == "count_star":
-                    vals = pc.if_else(mask, pa.array([1] * batch.num_rows), None)
-                else:
-                    vals = pc.if_else(mask, batch.column(col), None)
-                batch = batch.append_column(f"__mask_{name}", vals)
+            for name, (kind, col) in masked.items():
+                mask = pa.array(np.asarray(agg_filters[name](batch),
+                                           dtype=bool))
+                vals = (pa.array(np.ones(batch.num_rows, np.int64))
+                        if kind == "count_star" else batch.column(col))
+                batch = batch.append_column(f"__mask_{name}",
+                                            pc.if_else(mask, vals, None))
             return batch
 
-        ds = ds.map_batches(add_masked, batch_format="pyarrow", batch_size=None)
+        ds = ds.map_batches(add_masked, batch_format="pyarrow",
+                            batch_size=None)
 
-    # Ray's global (ungrouped) Count(on=None) is unreliable on parquet-read
-    # blocks in this version; rewrite count_star as Sum over a ones column.
-    star_names = [n for n, (k, _) in aggs.items()
-                  if k == "count_star" and n not in needs_mask]
-    if not group_by and star_names:
-        def add_ones(batch: pa.Table) -> pa.Table:
-            return batch.append_column(
-                "__one", pa.array(np.ones(batch.num_rows, dtype=np.int64)))
-
-        ds = ds.map_batches(add_ones, batch_format="pyarrow", batch_size=None)
-
-    ray_aggs = []
+    haggs = {}
     for name, (kind, col) in aggs.items():
-        if name in needs_mask:
-            k = "count" if kind == "count_star" else kind
-            ray_aggs.append(_ray_agg(k, f"__mask_{name}", name))
-        elif not group_by and kind == "count_star":
-            ray_aggs.append(_ray_agg("sum", "__one", name))
-        else:
-            ray_aggs.append(_ray_agg(kind, col, name))
+        if name in masked:
+            kind, col = ("count" if kind == "count_star" else kind,
+                         f"__mask_{name}")
+        haggs[name] = (kind, col)
+    # imported per call: a traced benchmark run wraps the module attribute
+    from paradedb_ray.stages.hash_agg import hash_group_aggregate
 
-    if group_by:
-        # two-stage vectorized hash aggregate (stages/hash_agg.py) — the
-        # native groupby's sort shuffle costs seconds of overhead per
-        # grouped query at bench scale; partial math mirrors Ray's
-        # aggregates exactly.  NOTE: output has no ordering contract
-        # (callers sort).
-        from paradedb_ray.stages.hash_agg import hash_group_aggregate
-
-        haggs = {}
-        for name, (kind, col) in aggs.items():
-            if name in needs_mask:
-                haggs[name] = ("count" if kind == "count_star" else kind,
-                               f"__mask_{name}")
-            else:
-                haggs[name] = (kind, col)
-        try:
-            return hash_group_aggregate(ds, group_by, haggs)
-        except ValueError:
-            # schema-less (all-empty) input: the native path returns the
-            # same empty result; _guard_buckets restores the schema
-            return ds.groupby(group_by).aggregate(*ray_aggs)
-    row = ds.aggregate(*ray_aggs)
-    row = row or {}
-    for n in star_names:
-        row[n] = int(row.get(n) or 0)
-    if any(row.get(n) is None for n in aggs):
-        # empty / all-NULL input: from_items would infer object dtype
-        # for the NULL aggregates — type them from the input schema so
-        # the empty-result schema matches SQL (SUM/MIN/MAX keep the
-        # value column's type, AVG is float64, COUNT is int64 = 0)
-        s = ds.schema()
-        in_types = (dict(zip(s.names, s.types))
-                    if s is not None else {})  # schema-less empty input
-        arrays = {}
-        for name, (kind, col) in aggs.items():
-            v = row.get(name)
-            if kind in ("count_star", "count"):
-                arrays[name] = pa.array([int(v or 0)], pa.int64())
-            elif v is None:
-                typ = (pa.float64() if kind == "avg"
-                       else in_types.get(col) or pa.float64())
-                arrays[name] = pa.array([None], typ)
-            else:
-                arrays[name] = pa.array([v])
-        return ray.data.from_arrow(pa.table(arrays))
-    return ray.data.from_items([row])
+    return hash_group_aggregate(ds, list(group_by or []), haggs)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +277,8 @@ def _derive_json_path_fields(ds, schema, agg_json):
                 try:
                     objs.append(_json.loads(v) if isinstance(v, str)
                                 else v)
-                except Exception:
+                except _json.JSONDecodeError:
+                    # a malformed JSON string has no paths: NULL, as in SQL
                     objs.append(None)
             for full in fulls:
                 parts = full.split(".")[1:]
@@ -1071,8 +965,9 @@ def _merge_tdigest_parts(compression: float, *tabs: pa.Table) -> pa.Table:
 
 def _dist_stats(ds: ray.data.Dataset, col: str):
     """(valid count, min, max) in ONE corpus pass — per-block partials
-    reduce through native distributive aggregates; min/max are None when
-    no valid values exist."""
+    reduce through the scalar hash aggregate; min/max are None when no
+    valid values exist."""
+    from paradedb_ray.stages.hash_agg import hash_group_aggregate
 
     def st(t: pa.Table) -> pa.Table:
         x = t.column(col).to_numpy(zero_copy_only=False).astype(float)
@@ -1085,11 +980,11 @@ def _dist_stats(ds: ray.data.Dataset, col: str):
                          "lo": pa.array([float(x.min())]),
                          "hi": pa.array([float(x.max())])})
 
-    agg = ds.map_batches(st, batch_format="pyarrow",
-                         batch_size=None).aggregate(
-        Sum(on="n", alias_name="n"), Min(on="lo", alias_name="lo"),
-        Max(on="hi", alias_name="hi")) or {}
-    return int(agg.get("n") or 0), agg.get("lo"), agg.get("hi")
+    partials = ds.map_batches(st, batch_format="pyarrow", batch_size=None)
+    row = collect_table(hash_group_aggregate(
+        partials, [], {"n": ("sum", "n"), "lo": ("min", "lo"),
+                       "hi": ("max", "hi")})).to_pylist()[0]
+    return int(row["n"] or 0), row["lo"], row["hi"]
 
 
 #: fetch at most this many raw values onto the driver per refinement
@@ -1222,7 +1117,7 @@ def _dist_rank_values(ds: ray.data.Dataset, col: str, ranks: list,
                     out[g] = float(vals[local])
 
     # bootstrap bounds: passed in by the caller's fused stats pass
-    # (`_dist_stats`) when available, else one native min/max aggregate
+    # (`_dist_stats`) when available, else one `_dist_stats` pass here
     if bounds is not None:
         lo, hi = bounds
     else:

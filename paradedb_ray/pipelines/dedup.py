@@ -295,25 +295,25 @@ def _empty_pairs(key_col: str, key_type: pa.DataType,
 def _colliding_buckets(sigs: "ray.data.Dataset", key_col: str,
                        bucket_cols: list,
                        with_canonical: bool) -> "ray.data.Dataset":
-    """ONE native hash aggregate finds each bucket's min key + size; only
-    the COLLIDING buckets survive.  The result is materialized: it is one
+    """ONE hash aggregate finds each bucket's min key + size; only the
+    COLLIDING buckets survive.  The result is materialized: it is one
     row per bucket with >1 member — a vanishing fraction of the corpus —
     and it both gates the no-duplicates short-circuit and feeds the
     candidate join."""
     # two-stage vectorized hash aggregate (stages/hash_agg.py) — Ray's
     # native groupby shuffle costs ~17s at 1.6M signature rows where the
     # arithmetic is milliseconds
-    from paradedb_ray.stages.hash_agg import grouped_min_count
+    from paradedb_ray.stages.hash_agg import hash_group_aggregate
 
-    agg = grouped_min_count(sigs, bucket_cols, key_col,
-                            min_alias="dup_of", count_alias="__n",
-                            only_colliding=True)
+    agg = hash_group_aggregate(sigs, bucket_cols,
+                               {"dup_of": ("min", key_col),
+                                "__n": ("count_star", None)})
     keep = bucket_cols + (["dup_of"] if with_canonical else [])
     sig_schema = _pa_schema(sigs)
     key_types = {c: sig_schema.field(c).type for c in bucket_cols}
 
     def project(b: pa.Table) -> pa.Table:
-        b = b.select(keep)
+        b = b.filter(pc.greater(b.column("__n"), 1)).select(keep)
         # the aggregate output may promote bucket-key types (int32->int64);
         # cast back so the join keys match the signature stream exactly
         for c, t in key_types.items():
@@ -352,11 +352,10 @@ def _lsh_bucket_pairs(sigs: "ray.data.Dataset", key_col: str,
     if not dedup:
         return pairs
     # a key may collide in several bands: keep the smallest dup_of per key
-    from paradedb_ray.stages.hash_agg import grouped_min_count
+    from paradedb_ray.stages.hash_agg import hash_group_aggregate
 
-    out = grouped_min_count(pairs.materialize(), [key_col], "dup_of",
-                            min_alias="dup_of", count_alias="__n")
-    return out.select_columns([key_col, "dup_of"])
+    return hash_group_aggregate(pairs, [key_col],
+                                {"dup_of": ("min", "dup_of")})
 
 
 def _lsh_bucket_all_pairs(sigs: "ray.data.Dataset", key_col: str,
@@ -366,7 +365,7 @@ def _lsh_bucket_all_pairs(sigs: "ray.data.Dataset", key_col: str,
     star-vs-canonical, so a true pair neither member of which is the
     bucket minimum still surfaces (the VERDICT r2 #4 shape, same as the
     simhash/embedding verifiers).  Pairs repeat across bands; callers
-    dedupe with ``hash_distinct``."""
+    dedupe with a DISTINCT ``hash_group_aggregate``."""
     key_type = _pa_schema(sigs).field(key_col).type
     cand = _filter_colliding(sigs, bucket_cols, key_col)
 
@@ -535,15 +534,14 @@ def _banded_hamming_pairs(sig: "ray.data.Dataset", key_col: str,
             key_col: pa.array(np.concatenate(out_k)).cast(key_type),
             "dup_of": pa.array(np.concatenate(out_d)).cast(key_type)})
 
-    from paradedb_ray.stages.hash_agg import (grouped_min_count,
+    from paradedb_ray.stages.hash_agg import (hash_group_aggregate,
                                               hash_partition_apply)
 
     pairs = hash_partition_apply(cand.materialize(), ["band", "chunk"],
                                  expand)
 
-    out = grouped_min_count(pairs.materialize(), [key_col], "dup_of",
-                            min_alias="dup_of", count_alias="__n")
-    return out.select_columns([key_col, "dup_of"])
+    return hash_group_aggregate(pairs, [key_col],
+                                {"dup_of": ("min", "dup_of")})
 
 
 def simhash_duplicates(
@@ -702,9 +700,9 @@ def ngram_jaccard_duplicates(
         pairs = _lsh_bucket_pairs(sigs, key_col, ["band", "band_hash"],
                                   dedup=False)
     # distinct (key, dup_of): two-stage hash dedup — pairs ≈ dups only
-    from paradedb_ray.stages.hash_agg import hash_distinct
+    from paradedb_ray.stages.hash_agg import hash_group_aggregate
 
-    pairs = hash_distinct(pairs.materialize(), [key_col, "dup_of"])
+    pairs = hash_group_aggregate(pairs, [key_col, "dup_of"], {})
     pairs = pairs.materialize()  # tiny: candidate pairs only
     if pairs.count() == 0:
         return _empty_pairs(key_col, key_type,
@@ -895,12 +893,11 @@ def embedding_near_duplicates(
             "dup_of": pa.array(np.concatenate(out_d)).cast(key_type),
             "cosine": pa.array(np.concatenate(out_c), pa.float64())})
 
-    from paradedb_ray.stages.hash_agg import (grouped_min_count,
+    from paradedb_ray.stages.hash_agg import (hash_group_aggregate,
                                               hash_partition_apply)
 
     pairs = hash_partition_apply(cand.materialize(), ["band", "bucket"],
                                  expand)
 
-    out = grouped_min_count(pairs.materialize(), [key_col], "dup_of",
-                            min_alias="dup_of", count_alias="__n")
-    return out.select_columns([key_col, "dup_of"])
+    return hash_group_aggregate(pairs, [key_col],
+                                {"dup_of": ("min", "dup_of")})

@@ -398,26 +398,32 @@ def asof_join(
         n = t.num_rows
         side = t.column("__side").to_numpy(zero_copy_only=False)
         ts_null = pc.is_null(t.column("__ts")).to_numpy(zero_copy_only=False)
+        # a NULL in any key column equals nothing (SQL): such a left row
+        # matches no right row, however the key codes below compare
+        key_null = np.zeros(n, dtype=bool)
         kcode = np.zeros(n, dtype=np.int64)
         for k in keys:
-            ck, _ = pd.factorize(t.column(k).to_pandas(),
-                                 use_na_sentinel=False)
+            col = t.column(k)
+            key_null |= pc.is_null(col).to_numpy(zero_copy_only=False)
+            ck, _ = pd.factorize(col.to_pandas(), use_na_sentinel=False)
             kcode = kcode * (int(ck.max()) + 1) + ck
         pos = np.arange(n, dtype=np.int64)
         ridx = np.where((side == 0) & ~ts_null, pos, -1)
         last_r = np.maximum.accumulate(ridx)
         li = np.flatnonzero(side == 1)
         m = last_r[li]
-        valid = (m >= 0) & ~ts_null[li]
+        valid = (m >= 0) & ~ts_null[li] & ~key_null[li]
         valid &= np.where(valid, kcode[np.where(valid, m, 0)] == kcode[li],
                           False)
         if tol_us is not None:
             # gap in the (possibly negated) time axis is always >= 0 for
             # a candidate: left_ts - right_ts backward, right_ts -
-            # left_ts forward
-            tsv = t.column("__ts").to_numpy(zero_copy_only=False)
+            # left_ts forward.  int64 throughout: float64 steps by 2 us
+            # past 2^53 us and would move gaps across the tolerance
+            tsv = pc.fill_null(t.column("__ts"), 0).to_numpy(
+                zero_copy_only=False)
             safe0 = np.where(valid, m, 0)
-            gap = tsv[li].astype("float64") - tsv[safe0].astype("float64")
+            gap = tsv[li] - tsv[safe0]
             valid &= np.where(valid, gap <= tol_us, False)
         lg = t.take(pa.array(li, pa.int64())).select(lcols).cast(l_pa)
         safe = np.where(valid, m, 0)
@@ -554,11 +560,16 @@ def interval_join(
     b_us = _parse_fixed_interval(bucket)
     rkey = right_on or on
 
-    def _us(col: pa.ChunkedArray) -> np.ndarray:
+    def _us(col: pa.ChunkedArray):
+        """(int64 µs values with NULLs as 0, NULL mask): int64, because
+        float64 steps by 2 µs past 2^53 µs and would move values across
+        bucket and window edges."""
         t = col.type
         if pa.types.is_timestamp(t) or pa.types.is_date(t):
             col = col.cast(pa.timestamp("us"))
-        return col.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        col = col.cast(pa.int64())
+        return (pc.fill_null(col, 0).to_numpy(zero_copy_only=False),
+                pc.is_null(col).to_numpy(zero_copy_only=False))
 
     lsch, rsch = left.schema(), right.schema()
     lcols = list(lsch.names)
@@ -573,11 +584,11 @@ def interval_join(
         + [pa.field(c, r_types[c]) for c in rcols])
 
     def tag_left(batch: pa.Table) -> pa.Table:
-        tsv = _us(batch.column(left_ts)).astype("float64")
+        tsv, null = _us(batch.column(left_ts))
         # NULL left_ts can never satisfy the range (SQL comparison
         # semantics) — bucket 0 is fine, the range mask drops it (and a
         # LEFT join keeps the row with NULL right columns)
-        bk = np.where(np.isnan(tsv), 0, tsv // b_us).astype(np.int64)
+        bk = np.where(null, 0, tsv // b_us)
         batch = batch.append_column("__bucket", pa.array(bk, pa.int64()))
         return batch.append_column(
             "__side", pa.array(np.zeros(batch.num_rows, np.int8)))
@@ -586,12 +597,12 @@ def interval_join(
         if rkey != on:
             batch = batch.append_column(on, batch.column(rkey))
             batch = batch.drop_columns([rkey])
-        b0 = _us(batch.column(right_start)).astype("float64")
-        b1 = _us(batch.column(right_end)).astype("float64")
+        b0, null0 = _us(batch.column(right_start))
+        b1, null1 = _us(batch.column(right_end))
         # a window with a NULL bound matches nothing: replicate 0 times
-        bad = np.isnan(b0) | np.isnan(b1)
-        b0 = np.where(bad, 0, b0 // b_us).astype(np.int64)
-        b1 = np.where(bad, -1, b1 // b_us).astype(np.int64)
+        bad = null0 | null1
+        b0 = np.where(bad, 0, b0 // b_us)
+        b1 = np.where(bad, -1, b1 // b_us)
         cnt = np.maximum(b1 - b0 + 1, 0)
         idx = np.repeat(np.arange(batch.num_rows), cnt)
         first = np.repeat(np.cumsum(cnt) - cnt, cnt)
@@ -627,8 +638,10 @@ def interval_join(
             lg = lg.append_column(
                 "__lrow", pa.array(np.arange(lg.num_rows), pa.int64()))
         j = payload_safe_join(lg, rg, [on, "__bucket"], "inner")
-        mask = ((_us(j.column(left_ts)) >= _us(j.column(right_start)))
-                & (_us(j.column(left_ts)) <= _us(j.column(right_end))))
+        (ts, ts_null), (start, start_null), (end, end_null) = (
+            _us(j.column(c)) for c in (left_ts, right_start, right_end))
+        mask = (~(ts_null | start_null | end_null) & (ts >= start)
+                & (ts <= end))
         j = j.filter(pa.array(mask))
         if how == "left":
             matched = j.column("__lrow").to_numpy(zero_copy_only=False)

@@ -27,12 +27,11 @@ def filter_batches(ds: ray.data.Dataset,
 
 
 def distinct(ds: ray.data.Dataset, columns: list) -> ray.data.Dataset:
-    """DISTINCT over columns: two-stage hash dedup (block-local unique,
-    tuple-hash split, per-part unique — `stages/hash_agg.py`); output has
-    exactly ``columns``."""
-    from paradedb_ray.stages.hash_agg import hash_distinct
+    """DISTINCT over columns: the two-stage hash aggregate with no
+    aggregates (`stages/hash_agg.py`); output has exactly ``columns``."""
+    from paradedb_ray.stages.hash_agg import hash_group_aggregate
 
-    return hash_distinct(ds.select_columns(columns), columns)
+    return hash_group_aggregate(ds.select_columns(columns), columns, {})
 
 
 def topk_by(ds: ray.data.Dataset, sort_keys: list, limit: int,

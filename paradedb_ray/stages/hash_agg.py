@@ -1,4 +1,12 @@
-"""Two-stage vectorized hash-shuffle MIN/COUNT aggregate.
+"""The package's one aggregate kernel, a two-stage vectorized hash
+shuffle, and its row-routing sibling.
+
+* :func:`hash_group_aggregate` runs every GROUP BY, scalar (ungrouped)
+  aggregate, COUNT(DISTINCT) and DISTINCT: COUNT(*) / COUNT / SUM / AVG /
+  MIN / MAX / ``cardinality`` over any key set, the empty one included.
+* :func:`hash_partition_apply` routes whole rows by key hash to a
+  caller's per-partition reduce (windows, joins, percentiles, dedup
+  verification).
 
 Ray Data's native ``groupby().aggregate()`` routes through a sort-based
 (or actor-pool hash) shuffle whose constant factors dwarf the actual
@@ -12,14 +20,13 @@ escape hatch for what the Dataset API can't express efficiently):
   via ``pa.Table.group_by`` (Arrow's C++ hash aggregation), then split
   into ``P`` sub-tables by key hash (``num_returns=P`` — each aggregator
   fetches only its slice, the all-to-all stays object-store-native);
-* **stage 2** (one task per partition): concat + final ``group_by``,
-  optional collision filter pushed into the reducer so only buckets
-  with >1 member ever leave it.
+* **stage 2** (one task per partition): concat + final ``group_by``.
 
 Partitioning assumption: every group's rows land in one stage-2 task
 (hash-partitioned by full key), so per-aggregator memory is
 ``corpus_keys / P`` — size ``P`` to the cluster (``min(64, CPUs)``
-locally; one per node-core-pair at fleet scale).
+locally; one per node-core-pair at fleet scale).  An ungrouped aggregate
+has one group, so it runs with ``P = 1``.
 
 Scale bound: the driver tracks B x P object refs (B input blocks).  At
 128 MB blocks that is fine through tens of TB (B in the thousands -> a
@@ -71,12 +78,30 @@ def _num_partitions(n: Optional[int]) -> int:
     return n if n is not None else max(2, min(64, cluster_cpus()))
 
 
+#: the hash of a NULL integer / boolean key
+_NULL_HASH = np.uint64(0x5BD1E9955BD1E995)
+
+
 def _key_hash(tbl: pa.Table, key_cols: list) -> np.ndarray:
-    """uint64 hash over the key column(s) — one vectorized pass each."""
+    """uint64 hash over the key column(s) — one vectorized pass each.
+
+    An integer or boolean column holding NULLs reaches numpy as float64 /
+    object, whose hashes differ from the same values' in a block without
+    NULLs, and equal keys from two such blocks would land in different
+    reducers.  So its NULLs are filled before hashing and then hash to
+    ``_NULL_HASH``."""
     h = None
     for c in key_cols:
-        col = tbl.column(c).to_numpy(zero_copy_only=False)
-        hc = pd.util.hash_array(col)
+        col = tbl.column(c)
+        typ = col.type
+        if col.null_count and (pa.types.is_integer(typ)
+                               or pa.types.is_boolean(typ)):
+            fill = pa.scalar(False if pa.types.is_boolean(typ) else 0, typ)
+            hc = pd.util.hash_array(
+                pc.fill_null(col, fill).to_numpy(zero_copy_only=False))
+            hc[pc.is_null(col).to_numpy(zero_copy_only=False)] = _NULL_HASH
+        else:
+            hc = pd.util.hash_array(col.to_numpy(zero_copy_only=False))
         h = hc if h is None else (h * np.uint64(0x9E3779B97F4A7C15)) ^ hc
     return h
 
@@ -94,37 +119,35 @@ def _hash_split(tbl: pa.Table, key_cols: list, P: int):
                  for p in range(P))
 
 
-@ray.remote
-def _partial_split(tbl: pa.Table, key_cols: list, min_col: str, P: int,
-                   template: pa.Table):
-    """Block-local partial MIN/COUNT per key, hash-split into P parts.
-    ``template`` is a zero-row table with the input schema — Ray emits
-    schema-less empty blocks for all-filtered batches."""
-    if not all(c in tbl.column_names for c in key_cols + [min_col]):
-        tbl = template
-    part = tbl.group_by(key_cols).aggregate(
-        [(min_col, "min"), ([], "count_all")])
-    # -> columns: key_cols + f"{min_col}_min" + "count_all"
-    return _hash_split(part, key_cols, P)
+def _group_by(tbl: pa.Table, keys: list, aggs: list) -> pa.Table:
+    """``tbl.group_by(keys).aggregate(aggs)`` with NULL-safe keys.
 
-
-@ray.remote
-def _final_merge(key_cols: list, min_col: str, only_colliding: bool,
-                 min_alias: str, count_alias: str, *parts) -> pa.Table:
-    t = concat_blocks(parts)
-    out = t.group_by(key_cols).aggregate(
-        [(f"{min_col}_min", "min"), ("count_all", "sum")])
-    mn = out.column(f"{min_col}_min_min")
-    cnt = out.column("count_all_sum")
-    out = pa.table(
-        {**{c: out.column(c) for c in key_cols},
-         min_alias: mn, count_alias: cnt})
-    if only_colliding:
-        out = out.filter(pc.greater(out.column(count_alias), 1))
+    Arrow 16's multi-key grouper splits a NULL group into many when a
+    key holding NULLs (string, boolean) precedes another key: grouping
+    (k: string, k2: int64) over 1,000 rows with NULL k gave 74 groups
+    for 12.  So each key with NULLs groups by its dictionary codes, NULL
+    encoded as one more value, and the key is decoded after; the
+    aggregates still read the original columns."""
+    codes = {}
+    if len(keys) > 1:
+        for k in keys:
+            col = tbl.column(k)
+            if col.null_count:
+                enc = pc.dictionary_encode(col.combine_chunks(),
+                                           null_encoding="encode")
+                codes[k] = (f"__code_{k}", enc.dictionary)
+                tbl = tbl.append_column(codes[k][0], enc.indices)
+    out = tbl.group_by([codes[k][0] if k in codes else k
+                        for k in keys]).aggregate(aggs)
+    for k, (code, values) in codes.items():
+        out = out.set_column(out.column_names.index(code), k,
+                             values.take(out.column(code)))
     return out
 
 
-#: stage-1 partial spec per agg kind: list of (pa-agg-fn, needs_col)
+#: stage-1 partial spec per agg kind: list of (pa-agg-fn, needs_col).
+#: ``cardinality`` has none: its column joins the stage-1 group keys, and
+#: stage 2 counts the distinct values it brings per group
 _PARTIALS = {
     "count_star": [("count_all", False)],
     "count": [("count", True)],
@@ -132,6 +155,7 @@ _PARTIALS = {
     "min": [("min", True)],
     "max": [("max", True)],
     "avg": [("sum", True), ("count", True)],
+    "cardinality": [],
 }
 
 #: stage-2 combine fn over the stage-1 partial column
@@ -139,30 +163,42 @@ _COMBINE = {"count_all": "sum", "count": "sum", "sum": "sum",
             "min": "min", "max": "max"}
 
 
+def _partial_name(col: Optional[str], fn: str) -> str:
+    """The column ``pa.Table.group_by`` names a stage-1 partial."""
+    return f"{col}_{fn}" if col is not None else "count_all"
+
+
 @ray.remote
-def _agg_partial_split(tbl: pa.Table, key_cols: list, specs: list, P: int,
-                       template: pa.Table):
-    """Block-local partial aggregate (pa.Table.group_by) hash-split into
-    P parts.  ``specs``: deduped [(col|None, pa_fn)] pairs."""
-    if not all(c in tbl.column_names for c in key_cols):
+def _agg_partial_split(tbl: pa.Table, part_keys: list, specs: list,
+                       key_cols: list, P: int, template: pa.Table):
+    """Block-local partial aggregate (pa.Table.group_by) over
+    ``part_keys`` (the group keys plus the COUNT DISTINCT columns),
+    hash-split into P parts by the group keys alone.  ``specs``: deduped
+    [(col|None, pa_fn)] pairs.  A block missing any column the partial
+    reads is swapped for ``template`` (a zero-row table with the input
+    schema): Ray emits schema-less empty blocks for all-filtered batches."""
+    read = part_keys + [c for c, _ in specs if c is not None]
+    if not all(c in tbl.column_names for c in read):
         tbl = template
-    part = tbl.group_by(key_cols).aggregate(
-        [((c if c is not None else []), fn) for c, fn in specs])
+    part = _group_by(tbl, part_keys,
+                     [((c if c is not None else []), fn) for c, fn in specs])
     return _hash_split(part, key_cols, P)
 
 
 @ray.remote
-def _agg_final(key_cols: list, specs: list, aggs: dict, *parts) -> pa.Table:
+def _agg_final(key_cols: list, specs: list, distinct: list, aggs: dict,
+               *parts) -> pa.Table:
+    """One reducer: every partial of its groups meets here, so one
+    ``group_by`` over ``key_cols`` finishes them.  COUNT DISTINCT counts
+    the distinct stage-1 values per group; pa's ``count_distinct`` skips
+    NULLs and gives an all-NULL group 0, as SQL does."""
     t = concat_blocks(parts)
-    combine = []
-    for c, fn in specs:
-        pname = f"{c}_{fn}" if c is not None else "count_all"
-        combine.append((pname, _COMBINE[fn]))
-    out = t.group_by(key_cols).aggregate(combine)
+    out = _group_by(t, key_cols,
+                    [(_partial_name(c, fn), _COMBINE[fn]) for c, fn in specs]
+                    + [(c, "count_distinct") for c in distinct])
 
     def partial_col(c, fn):
-        pname = f"{c}_{fn}" if c is not None else "count_all"
-        return out.column(f"{pname}_{_COMBINE[fn]}")
+        return out.column(f"{_partial_name(c, fn)}_{_COMBINE[fn]}")
 
     cols = {c: out.column(c) for c in key_cols}
     for name, (kind, col) in aggs.items():
@@ -175,32 +211,36 @@ def _agg_final(key_cols: list, specs: list, aggs: dict, *parts) -> pa.Table:
             cols[name] = pa.array(v, pa.float64())
             # groups whose column is all-null: count 0 -> null mean
             cols[name] = pc.if_else(pa.array(n > 0), cols[name], None)
-        elif kind == "count_star":
-            cols[name] = partial_col(None, "count_all")
+        elif kind in ("count_star", "count"):
+            # an ungrouped aggregate with COUNT DISTINCT columns over no
+            # rows has no partial rows to sum: COUNT is still 0
+            cols[name] = pc.fill_null(
+                partial_col(col if kind == "count" else None,
+                            _PARTIALS[kind][0][0]), 0)
+        elif kind == "cardinality":
+            cols[name] = out.column(f"{col}_count_distinct")
         else:
             cols[name] = partial_col(col, _PARTIALS[kind][0][0])
     return pa.table(cols)
 
 
 def _exec_blocks_schema(ds: ray.data.Dataset):
-    """Execute ``ds`` once per call and return ``(block_refs, schema)``.
+    """Execute ``ds`` once and return ``(block_refs, schema)``.
 
-    A lazy Dataset re-executes on every ``to_arrow_refs``, so each call
-    re-runs the whole upstream pipeline.  The rule: a Dataset that feeds
-    more than one consumer is materialized by its caller (as
-    ``sql_aggregate`` does before fanning out to its cardinality and
-    other aggregates).
-
-    Calling ``ds.schema()`` on a not-yet-executed mapped dataset launches
-    a SEPARATE limit-1 probe execution — recomputing every upstream stage,
-    and the probe's early-termination task cancels can trip a Ray-core
-    cancel-vs-completion race (``task_manager.cc`` check failure) when the
-    blocks are tiny.  Executing first via ``to_arrow_refs`` makes
-    ``schema(fetch_if_missing=False)`` read the cached snapshot for free,
-    and an all-empty-but-typed result still reports its schema."""
-    blocks = _bounded_blocks(ds.to_arrow_refs())
-    sch = ds.schema(fetch_if_missing=False)
-    return blocks, sch
+    ``materialize`` runs the upstream pipeline once and caches its
+    schema, so the refs and ``schema(fetch_if_missing=False)`` after it
+    cost nothing.  ``to_arrow_refs`` on a lazy Dataset would not do:
+    when the plan leaves the schema unknown it also launches a limit-1
+    probe, which re-runs every upstream stage on the first blocks (a
+    filtered read ran its filter on 8 block executions for 6 blocks),
+    and whose early-termination task cancels can trip a Ray-core
+    cancel-vs-completion race (``task_manager.cc`` check failure) when
+    the blocks are tiny.  An all-empty-but-typed result still reports
+    its schema.  A lazy Dataset re-executes for every consumer, so a
+    Dataset that feeds more than one is materialized by its caller."""
+    ds = ds.materialize()
+    return _bounded_blocks(ds.to_arrow_refs()), ds.schema(
+        fetch_if_missing=False)
 
 
 def _template(sch) -> pa.Table:
@@ -227,16 +267,6 @@ def _shuffle(blocks: list, template: pa.Table, P: int, split, split_args,
             for p in range(P)]
 
 
-def _typed_input(ds: ray.data.Dataset, name: str):
-    """``(blocks, template)`` of an executed ``ds``; an input with no
-    schema at all (all-empty dataset) raises so the caller can fall back."""
-    blocks, sch = _exec_blocks_schema(ds)
-    if sch is None:
-        raise ValueError(f"{name}: input has no schema "
-                         "(all-empty dataset) — caller should fall back")
-    return blocks, _template(sch)
-
-
 def hash_group_aggregate(
     ds: ray.data.Dataset,
     key_cols: list,
@@ -244,34 +274,55 @@ def hash_group_aggregate(
     num_partitions: Optional[int] = None,
 ) -> ray.data.Dataset:
     """GROUP BY ``key_cols`` with ``aggs``: name -> (kind, col|None),
-    kind in count_star|count|sum|avg|min|max — the general two-stage
-    hash aggregate (same shape and caveats as :func:`grouped_min_count`).
+    kind in count_star|count|sum|avg|min|max|cardinality (exact
+    COUNT(DISTINCT col)).  Empty ``aggs`` is DISTINCT over ``key_cols``;
+    no ``key_cols`` is SQL's scalar aggregate: one reducer (``P = 1``)
+    and exactly one row, even over no rows (counts 0, the rest NULL).
+
     Partial math mirrors Ray's Mean exactly (total sum / total count), so
-    results are bit-identical to the native groupby for the integer-valued
-    columns the oracle entries aggregate."""
+    results are bit-identical to the native aggregates for the
+    integer-valued columns the oracle entries aggregate.  SUM/MIN/MAX
+    keep Arrow's types (MIN/MAX the input's).  A schema-less input (Ray's
+    all-empty dataset) holds no rows; it is aggregated as an empty table
+    of SQL's default types: string keys, float64 values."""
     specs: list = []
     for kind, col in aggs.values():
+        if kind not in _PARTIALS:
+            raise ValueError(f"unknown aggregate kind {kind!r}")
         for fn, needs_col in _PARTIALS[kind]:
             spec = (col if needs_col else None, fn)
             if spec not in specs:
                 specs.append(spec)
-    blocks, template = _typed_input(ds, "hash_group_aggregate")
+    distinct = list(dict.fromkeys(
+        col for kind, col in aggs.values() if kind == "cardinality"))
+    part_keys = key_cols + [c for c in distinct if c not in key_cols]
+    blocks, sch = _exec_blocks_schema(ds)
+    if sch is None:
+        read = dict.fromkeys(
+            part_keys + [c for c, _ in specs if c is not None])
+        template = pa.schema(
+            [(c, pa.string() if c in key_cols else pa.float64())
+             for c in read]).empty_table()
+    else:
+        template = _template(sch)
+    P = _num_partitions(num_partitions) if key_cols else 1
     return ray.data.from_arrow_refs(_shuffle(
-        blocks, template, _num_partitions(num_partitions),
-        _agg_partial_split, (key_cols, specs),
-        _agg_final, (key_cols, specs, aggs)))
+        blocks, template, P,
+        _agg_partial_split, (part_keys, specs, key_cols),
+        _agg_final, (key_cols, specs, distinct, aggs)))
 
 
-@ray.remote
-def _distinct_split(tbl: pa.Table, key_cols: list, col: str, P: int,
-                    template: pa.Table):
-    """Block-local distinct over (key_cols, col), hash-split by the FULL
-    tuple — each distinct tuple lands in exactly one reducer."""
-    cols = key_cols + [col]
-    if not all(c in tbl.column_names for c in cols):
-        tbl = template
-    return _hash_split(tbl.select(cols).group_by(cols).aggregate([]),
-                       cols, P)
+def hash_distinct_count(
+    ds: ray.data.Dataset,
+    key_cols: list,
+    col: str,
+    alias: str,
+    num_partitions: Optional[int] = None,
+) -> ray.data.Dataset:
+    """COUNT(DISTINCT col) [GROUP BY key_cols] — the ``cardinality``
+    kind of :func:`hash_group_aggregate`."""
+    return hash_group_aggregate(ds, key_cols, {alias: ("cardinality", col)},
+                                num_partitions)
 
 
 @ray.remote
@@ -301,101 +352,12 @@ def hash_partition_apply(
     """Generic hash-partitioned reduce: rows route to ``P`` reducers by
     key hash (every row of a key meets in ONE reducer), each reducer runs
     ``reduce_fn(pa.Table) -> pa.Table``.  ``pre_fn`` shrinks blocks before
-    the all-to-all (the combiner slot)."""
-    blocks, template = _typed_input(ds, "hash_partition_apply")
-    return ray.data.from_arrow_refs(_shuffle(
-        blocks, template, _num_partitions(num_partitions),
-        _rows_split, (key_cols, pre_fn), _apply_final, (reduce_fn,)))
-
-
-@ray.remote
-def _unique_final(cols: list, *parts) -> pa.Table:
-    return concat_blocks(parts).group_by(cols).aggregate([])
-
-
-def hash_distinct(
-    ds: ray.data.Dataset,
-    columns: list,
-    num_partitions: Optional[int] = None,
-) -> ray.data.Dataset:
-    """DISTINCT over ``columns`` as a two-stage hash dedup: block-local
-    unique -> tuple-hash split -> per-part unique.  Each distinct tuple
-    lands in exactly one reducer, so the union of reducer outputs IS the
-    distinct set."""
-    blocks, template = _typed_input(ds, "hash_distinct")
-    return ray.data.from_arrow_refs(_shuffle(
-        blocks, template, _num_partitions(num_partitions),
-        _distinct_split, (columns[:-1], columns[-1]),
-        _unique_final, (columns,)))
-
-
-@ray.remote
-def _distinct_final(key_cols: list, col: str, alias: str,
-                    *parts) -> pa.Table:
-    t = concat_blocks(parts)
-    cols = key_cols + [col]
-    d = t.group_by(cols).aggregate([])
-    if not key_cols:
-        # SQL COUNT(DISTINCT) never counts NULL values
-        n = pc.sum(pc.is_valid(d.column(col)).cast(pa.int64())).as_py() or 0
-        return pa.table({alias: pa.array([int(n)], pa.int64())})
-    # per-part counts are PARTIAL per key (a key's values spread across
-    # parts by the (key, col) hash) — summed in the driver-side combine.
-    # pa "count" skips null col values, while the null tuple keeps an
-    # all-NULL group alive with count 0 (SQL GROUP BY semantics)
-    g = d.group_by(key_cols).aggregate([(col, "count")])
-    return pa.table({**{k: g.column(k) for k in key_cols},
-                     alias: g.column(f"{col}_count")})
-
-
-def hash_distinct_count(
-    ds: ray.data.Dataset,
-    key_cols: list,
-    col: str,
-    alias: str,
-    num_partitions: Optional[int] = None,
-) -> ray.data.Dataset:
-    """COUNT(DISTINCT col) [GROUP BY key_cols] as a two-stage hash
-    distinct: block-local dedup -> tuple-hash split -> per-part dedup;
-    the per-key partial counts (tiny) combine in one final pass."""
-    blocks, template = _typed_input(ds, "hash_distinct_count")
-    finals = ray.get(_shuffle(
-        blocks, template, _num_partitions(num_partitions),
-        _distinct_split, (key_cols, col),
-        _distinct_final, (key_cols, col, alias)))
-    # combine the tiny per-part tables (partial counts per key)
-    t = concat_blocks(finals)
-    if key_cols:
-        g = t.group_by(key_cols).aggregate([(alias, "sum")])
-        out = pa.table({**{k: g.column(k) for k in key_cols},
-                        alias: g.column(f"{alias}_sum")})
-    else:
-        out = pa.table({alias: pa.array(
-            [pc.sum(t.column(alias)).as_py() or 0], pa.int64())})
-    return ray.data.from_arrow(out)
-
-
-def grouped_min_count(
-    ds: ray.data.Dataset,
-    key_cols: list,
-    min_col: str,
-    min_alias: str = "dup_of",
-    count_alias: str = "__n",
-    num_partitions: Optional[int] = None,
-    only_colliding: bool = False,
-) -> ray.data.Dataset:
-    """GROUP BY ``key_cols`` -> (min(min_col), count(*)) as a two-stage
-    hash aggregate; with ``only_colliding`` only groups with >1 row
-    survive (the LSH candidate shape)."""
+    the all-to-all (the combiner slot).  A schema-less input (all-empty
+    dataset) raises ``ValueError``: ``reduce_fn`` needs typed columns."""
     blocks, sch = _exec_blocks_schema(ds)
-    template = _template(sch)
-    if not blocks:
-        empty = pa.table({**{c: pa.array([], pa.string()) for c in key_cols},
-                          min_alias: pa.array([], pa.int64()),
-                          count_alias: pa.array([], pa.int64())})
-        return ray.data.from_arrow(empty)
+    if sch is None:
+        raise ValueError("hash_partition_apply: input has no schema "
+                         "(all-empty dataset)")
     return ray.data.from_arrow_refs(_shuffle(
-        blocks, template, _num_partitions(num_partitions),
-        _partial_split, (key_cols, min_col),
-        _final_merge, (key_cols, min_col, only_colliding,
-                       min_alias, count_alias)))
+        blocks, _template(sch), _num_partitions(num_partitions),
+        _rows_split, (key_cols, pre_fn), _apply_final, (reduce_fn,)))

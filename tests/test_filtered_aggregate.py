@@ -212,3 +212,52 @@ def test_filtered_grouped_cardinality_no_match_keeps_typed_shape(
                         {"ratings": ("cardinality", "rating")},
                         schema=schema, filter_query=none)
     assert list(out.schema().names) == ["category", "ratings"]
+
+
+def test_ungrouped_cardinality_no_match_keeps_value_types(ray_session,
+                                                          items):
+    """Ungrouped, a ``max`` beside a ``cardinality`` over zero matches
+    keeps its column's type (it used to come back Arrow ``null``)."""
+    from paradedb_ray.pipelines.aggregate import sql_aggregate
+
+    schema, t = items
+    none = ast.Term("description", "zzznomatch")
+    out = collect_table(sql_aggregate(
+        _blocks(t, BLOCKS), [], {"r": ("cardinality", "rating"),
+                                 "m": ("max", "rating")},
+        schema=schema, filter_query=none))
+    assert out.schema == pa.schema([("r", pa.int64()), ("m", pa.int32())])
+    assert out.to_pylist() == [{"r": 0, "m": None}]
+
+
+def test_filter_clause_applies_to_cardinality(ray_session, items):
+    """``FILTER (WHERE in_stock AND rating >= 4)`` on a ``cardinality``
+    aggregate counts only the passing rows' distinct values, grouped and
+    ungrouped; a group no row of which passes counts 0."""
+    import pyarrow.compute as pc
+
+    from paradedb_ray.pipelines.aggregate import sql_aggregate
+
+    _, t = items
+    filters = {"r": lambda b: pc.and_(
+        b.column("in_stock"),
+        pc.greater_equal(b.column("rating"), 4)).to_numpy(
+            zero_copy_only=False)}
+    aggs = {"n": ("count_star", None), "r": ("cardinality", "rating")}
+    df = t.to_pandas()
+    passing = df[df["in_stock"] & (df["rating"] >= 4)]
+    want = (passing.groupby("category")["rating"].nunique()
+            .reindex(df["category"].unique(), fill_value=0))
+    assert (want == 0).any()  # a group whose every row is filtered out
+
+    out = sql_aggregate(_blocks(t, BLOCKS), ["category"], aggs,
+                        agg_filters=filters).to_pandas()
+    got = out.set_index("category")
+    assert got["r"].astype(int).to_dict() == want.to_dict()
+    assert got["n"].astype(int).to_dict() == (
+        df.groupby("category").size().to_dict())
+
+    out = collect_table(sql_aggregate(_blocks(t, BLOCKS), [], aggs,
+                                      agg_filters=filters))
+    assert out.to_pylist() == [
+        {"n": t.num_rows, "r": passing["rating"].nunique()}]

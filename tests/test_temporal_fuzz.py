@@ -115,6 +115,115 @@ def test_asof_fuzz_vs_duckdb(ray_session, seed):
     assert_same(tol, orc3, f"asof tolerance seed={seed}")
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_asof_null_keys_vs_duckdb(ray_session, seed):
+    """A left row with a NULL in any key column matches nothing (SQL
+    ``=`` never holds for NULL), even beside a right row whose key is
+    NULL in the same places."""
+    rng = np.random.RandomState(300 + seed)
+
+    def null_keys(t: pa.Table) -> pa.Table:
+        n = t.num_rows
+        k = [None if drop else int(v) for v, drop in
+             zip(t.column("k").to_pylist(), rng.rand(n) < 0.2)]
+        g = [None if drop else v for v, drop in
+             zip(rng.choice(["a", "b"], n).tolist(), rng.rand(n) < 0.2)]
+        return t.set_column(0, "k", pa.array(k, pa.int64())).append_column(
+            "g", pa.array(g, pa.string()))
+
+    left = null_keys(rand_events(rng, rng.randint(30, 120), 3))
+    right = null_keys(rand_events(rng, rng.randint(30, 120), 3)
+                      .rename_columns(["k", "rts", "qid", "rv"]))
+    con = duckdb.connect()
+    con.register("l", left.to_pandas())
+    con.register("r", right.to_pandas())
+    lds = ray.data.from_arrow(left).repartition(3)
+    rds = ray.data.from_arrow(right).repartition(2)
+    for how, join in (("left", "LEFT JOIN"), ("inner", "JOIN")):
+        out = asof_join(lds, rds, on=["k", "g"], left_ts="ts",
+                        right_ts="rts", right_cols=["qid", "rv"],
+                        tie_col="qid", how=how)
+        orc = con.execute(f"""
+          SELECT l.*, r.qid, r.rv FROM l {join} r
+            ON r.k = l.k AND r.g = l.g AND r.rts <= l.ts
+          QUALIFY row_number() OVER (PARTITION BY l.rid
+            ORDER BY r.rts DESC, r.qid DESC) = 1""").df()
+        assert_same(out, orc, f"asof null keys {how} seed={seed}")
+
+
+#: 2^53 us (year 2255): float64 steps by 2 us from here on
+BIG_US = 2 ** 53
+
+
+def test_asof_tolerance_past_2_53_us_vs_duckdb(ray_session):
+    """The tolerance gap is exact past 2^53 us.  Right 2^53 + 3 rounds to
+    + 4 in float64, so a left row at + 7,000,004 is 7,000,001 us away but
+    looked exactly 7 s away; the plus-one cases sit on either side of
+    the edge, backward and forward."""
+    offs_r = [3, 10_000_003, 20_000_000]
+    offs_l = [7_000_004, 7_000_002, 17_000_004, 27_000_000, 27_000_001,
+              12_999_999, 3_000_003]
+    left = pa.table({
+        "k": pa.array([1] * len(offs_l), pa.int64()),
+        "ts": pa.array([BIG_US + o for o in offs_l], pa.timestamp("us")),
+        "rid": pa.array(np.arange(len(offs_l), dtype=np.int64))})
+    right = pa.table({
+        "k": pa.array([1] * len(offs_r), pa.int64()),
+        "rts": pa.array([BIG_US + o for o in offs_r], pa.timestamp("us")),
+        "qid": pa.array(np.arange(len(offs_r), dtype=np.int64))})
+    con = duckdb.connect()
+    con.register("l", left)
+    con.register("r", right)
+    lds = ray.data.from_arrow(left).repartition(2)
+    rds = ray.data.from_arrow(right)
+    for direction, cmp, gap, order in (
+            ("backward", "<=", "l.ts - r.rts", "DESC"),
+            ("forward", ">=", "r.rts - l.ts", "ASC")):
+        out = asof_join(lds, rds, on="k", left_ts="ts", right_ts="rts",
+                        right_cols=["qid"], tie_col="qid",
+                        direction=direction, tolerance="7s", how="left")
+        orc = con.execute(f"""
+          SELECT l.*, r.qid FROM l LEFT JOIN r ON r.k = l.k
+            AND r.rts {cmp} l.ts AND {gap} <= INTERVAL 7 SECOND
+          QUALIFY row_number() OVER (PARTITION BY l.rid
+            ORDER BY r.rts {order}, r.qid DESC) = 1""").df()
+        assert_same(out, orc, f"asof tolerance {direction} past 2^53")
+
+
+def test_interval_join_past_2_53_us_vs_duckdb(ray_session):
+    """Window edges are exact past 2^53 us.  One reducer holds every
+    cell, so NULL-timestamp rows (bucket 0, beside the epoch window)
+    share the joined table with the large ones, which numpy would then
+    read as float64: + 3 rounds to + 4 = a window start, + 5,000,005 to
+    + 5,000,004 = its end, and both looked inside."""
+    ws = [0, BIG_US + 4, BIG_US + 20_000_001]
+    we = [10_000_000, BIG_US + 5_000_004, BIG_US + 33_000_001]
+    lts = [None, 5_000_000, None, BIG_US + 3, BIG_US + 4, BIG_US + 5_000_004,
+           BIG_US + 5_000_005, BIG_US + 20_000_000, BIG_US + 20_000_001,
+           BIG_US + 33_000_001, BIG_US + 33_000_002]
+    left = pa.table({
+        "k": pa.array([1] * len(lts), pa.int64()),
+        "ts": pa.array(lts, pa.timestamp("us")),
+        "rid": pa.array(np.arange(len(lts), dtype=np.int64))})
+    right = pa.table({
+        "k": pa.array([1] * len(ws), pa.int64()),
+        "ws": pa.array(ws, pa.timestamp("us")),
+        "we": pa.array(we, pa.timestamp("us")),
+        "wid": pa.array(np.arange(len(ws), dtype=np.int64))})
+    con = duckdb.connect()
+    con.register("l", left)
+    con.register("r", right)
+    for how, join in (("inner", "JOIN"), ("left", "LEFT JOIN")):
+        out = interval_join(
+            ray.data.from_arrow(left), ray.data.from_arrow(right),
+            on="k", left_ts="ts", right_start="ws", right_end="we",
+            bucket="13s", how=how, num_partitions=1)
+        orc = con.execute(f"""
+          SELECT l.*, r.ws, r.we, r.wid FROM l {join} r
+            ON l.k = r.k AND l.ts >= r.ws AND l.ts <= r.we""").df()
+        assert_same(out, orc, f"interval {how} past 2^53")
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_interval_join_fuzz_vs_duckdb(ray_session, seed):
     rng = np.random.RandomState(100 + seed)
