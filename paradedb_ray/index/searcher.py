@@ -33,6 +33,7 @@ import pyarrow.compute as pc
 from paradedb_ray.fieldnorm import FIELD_NORMS_TABLE
 from paradedb_ray.index.segment import Segment, TextFieldIndex
 from paradedb_ray.query import ast
+from paradedb_ray.query.parser import bind
 from paradedb_ray.schema import (
     INET,
     JSON,
@@ -770,23 +771,12 @@ class Searcher:
         occur = "must" if q.conjunction_mode else "should"
         return self._eval_Boolean(ast.Boolean(**{occur: subs}), boost)
 
-    def _eval_ParseWithField(self, q: ast.ParseWithField, boost):
-        from paradedb_ray.query.parser import parse_query_string
+    def _eval_Parse(self, q, boost):
+        """A query string reaches here only from a direct caller: every
+        pipeline and streaming entry binds its query first."""
+        return self.eval(bind(q, self.schema), boost)
 
-        sub = parse_query_string(q.query_string, self.schema,
-                                 default_fields=[q.field],
-                                 conjunction_mode=bool(q.conjunction_mode),
-                                 lenient=bool(q.lenient))
-        return self.eval(sub, boost)
-
-    def _eval_Parse(self, q: ast.Parse, boost):
-        from paradedb_ray.query.parser import parse_query_string
-
-        sub = parse_query_string(q.query_string, self.schema,
-                                 default_fields=self.schema.default_search_fields,
-                                 conjunction_mode=bool(q.conjunction_mode),
-                                 lenient=bool(q.lenient))
-        return self.eval(sub, boost)
+    _eval_ParseWithField = _eval_Parse
 
     # -- phrases ------------------------------------------------------------
 

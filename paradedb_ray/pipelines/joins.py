@@ -444,6 +444,40 @@ def asof_join(
                                 num_partitions=num_partitions)
 
 
+def _int64_and_nulls(col: pa.ChunkedArray):
+    """(int64 values with NULLs as 0, NULL mask), timestamps and dates as
+    µs: int64, because float64 steps by 2 past 2^53 and would move values
+    across band, bucket and window edges."""
+    import pyarrow.compute as pc
+
+    t = col.type
+    if pa.types.is_timestamp(t) or pa.types.is_date(t):
+        col = col.cast(pa.timestamp("us"))
+    col = col.cast(pa.int64())
+    return (pc.fill_null(col, 0).to_numpy(zero_copy_only=False),
+            pc.is_null(col).to_numpy(zero_copy_only=False))
+
+
+def _comparable(cols: list) -> list:
+    """Each column as (values, NULL mask) in one comparison domain: int64
+    (:func:`_int64_and_nulls`) when every column is integer, timestamp or
+    date, else float64."""
+    import pyarrow.compute as pc
+
+    def exact(t):
+        return (pa.types.is_integer(t) or pa.types.is_timestamp(t)
+                or pa.types.is_date(t))
+
+    if all(exact(c.type) for c in cols):
+        return [_int64_and_nulls(c) for c in cols]
+    out = []
+    for c in cols:
+        c = c.cast(pa.float64())
+        out.append((pc.fill_null(c, 0.0).to_numpy(zero_copy_only=False),
+                    pc.is_null(c).to_numpy(zero_copy_only=False)))
+    return out
+
+
 class _RangeJoiner:
     """Broadcast interval join: the band table rides the object store once
     (``ray.put``), each probe batch scans it vectorized — one boolean-mask
@@ -466,15 +500,17 @@ class _RangeJoiner:
                            if isinstance(self.bands_ref, ray.ObjectRef)
                            else self.bands_ref)
         bands = self._bands
-        v = batch.column(self.value_col).to_numpy(zero_copy_only=False)
-        v = v.astype(float)
-        lo = bands.column(self.lo_col).to_numpy(zero_copy_only=False)
-        hi = bands.column(self.hi_col).to_numpy(zero_copy_only=False)
+        # a NULL value or band edge matches nothing (SQL comparison)
+        (v, v_null), (lo, lo_null), (hi, hi_null) = _comparable(
+            [batch.column(self.value_col), bands.column(self.lo_col),
+             bands.column(self.hi_col)])
         row_idx, band_idx = [], []
         for i in range(bands.num_rows):
+            if lo_null[i] or hi_null[i]:
+                continue
             ge = v >= lo[i]
             lt = (v <= hi[i]) if self.closed == "both" else (v < hi[i])
-            hit = np.flatnonzero(ge & lt)
+            hit = np.flatnonzero(ge & lt & ~v_null)
             row_idx.append(hit)
             band_idx.append(np.full(len(hit), i, np.int64))
         ri = (np.concatenate(row_idx) if row_idx
@@ -560,17 +596,6 @@ def interval_join(
     b_us = _parse_fixed_interval(bucket)
     rkey = right_on or on
 
-    def _us(col: pa.ChunkedArray):
-        """(int64 µs values with NULLs as 0, NULL mask): int64, because
-        float64 steps by 2 µs past 2^53 µs and would move values across
-        bucket and window edges."""
-        t = col.type
-        if pa.types.is_timestamp(t) or pa.types.is_date(t):
-            col = col.cast(pa.timestamp("us"))
-        col = col.cast(pa.int64())
-        return (pc.fill_null(col, 0).to_numpy(zero_copy_only=False),
-                pc.is_null(col).to_numpy(zero_copy_only=False))
-
     lsch, rsch = left.schema(), right.schema()
     lcols = list(lsch.names)
     rcols = [c for c in rsch.names if c != rkey]
@@ -584,7 +609,7 @@ def interval_join(
         + [pa.field(c, r_types[c]) for c in rcols])
 
     def tag_left(batch: pa.Table) -> pa.Table:
-        tsv, null = _us(batch.column(left_ts))
+        tsv, null = _int64_and_nulls(batch.column(left_ts))
         # NULL left_ts can never satisfy the range (SQL comparison
         # semantics) — bucket 0 is fine, the range mask drops it (and a
         # LEFT join keeps the row with NULL right columns)
@@ -597,8 +622,8 @@ def interval_join(
         if rkey != on:
             batch = batch.append_column(on, batch.column(rkey))
             batch = batch.drop_columns([rkey])
-        b0, null0 = _us(batch.column(right_start))
-        b1, null1 = _us(batch.column(right_end))
+        b0, null0 = _int64_and_nulls(batch.column(right_start))
+        b1, null1 = _int64_and_nulls(batch.column(right_end))
         # a window with a NULL bound matches nothing: replicate 0 times
         bad = null0 | null1
         b0 = np.where(bad, 0, b0 // b_us)
@@ -639,7 +664,8 @@ def interval_join(
                 "__lrow", pa.array(np.arange(lg.num_rows), pa.int64()))
         j = payload_safe_join(lg, rg, [on, "__bucket"], "inner")
         (ts, ts_null), (start, start_null), (end, end_null) = (
-            _us(j.column(c)) for c in (left_ts, right_start, right_end))
+            _int64_and_nulls(j.column(c))
+            for c in (left_ts, right_start, right_end))
         mask = (~(ts_null | start_null | end_null) & (ts >= start)
                 & (ts <= end))
         j = j.filter(pa.array(mask))

@@ -16,6 +16,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from paradedb_ray.query.parser import bind
 from paradedb_ray.stages.blocks import (chunk_refs, merge_blocks,
                                         tree_reduce_refs)
 
@@ -488,6 +489,8 @@ def filtered_knn(
     still returns exact results (full-sort fallback semantics,
     `vector_search_pushdown.sql`)."""
     q = np.asarray(query_vec, dtype=np.float32)
+    if filter_query is not None:
+        filter_query = bind(filter_query, schema)
     stage = _FilteredKnnStage(schema, vec_field, ray.put(q), op, k,
                               key_col, filter_query)
     local = ds.map_batches(stage, batch_format="pyarrow", batch_size=None)

@@ -13,6 +13,7 @@ one-query case and ``search_topk_multi`` its many-query case.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from typing import Optional, Sequence, Union
 
@@ -22,6 +23,7 @@ import ray
 import ray.data
 
 from paradedb_ray.query import ast
+from paradedb_ray.query.parser import bind
 from paradedb_ray.schema import IndexSchema
 from paradedb_ray.stages import search_stages
 from paradedb_ray.stages.blocks import (chunk_refs, concat_blocks,
@@ -31,62 +33,30 @@ from paradedb_ray.stages.search_stages import (QueryPacketBuilder,
                                                _merge_stats_parts,
                                                compute_global_stats,
                                                needs_positions, rank_head,
-                                               single_scan_terms)
+                                               single_scan_terms, terms_facet)
 
 
 SortKey = tuple  # (column, "ascending"|"descending"); "score" allowed
 
 
-#: query attributes that hold child queries: lists of them, or one
-_LIST_CHILDREN = ("must", "should", "must_not", "disjuncts")
-_NODE_CHILDREN = ("query", "indexed_query")
-
-
-def _subqueries(q: ast.Query):
-    """The direct child queries of ``q`` — the one child walk shared by
-    column pruning, MLT resolution and the stats-pass decision."""
-    for attr in _LIST_CHILDREN:
-        yield from getattr(q, attr, None) or ()
-    for attr in _NODE_CHILDREN:
-        sub = getattr(q, attr, None)
-        if isinstance(sub, ast.Query):
-            yield sub
-
-
 def _prune_columns(ds, schema: IndexSchema, queries, output_columns,
                    snippet_cfgs=None,
                    extra: Sequence[str] = ()) -> "ray.data.Dataset":
-    """Projection pushdown: select only the columns the queries evaluate +
-    the requested outputs ("prune at the read").  Skipped when outputs are
-    unconstrained or a query carries an opaque HeapFilter predicate."""
+    """Projection pushdown: select only the columns the (bound) queries
+    evaluate + the requested outputs ("prune at the read").  Skipped when
+    outputs are unconstrained or a query carries an opaque HeapFilter
+    predicate."""
     if not output_columns:
         return ds
 
     def walk(q, acc: set) -> bool:
         if isinstance(q, ast.HeapFilter):
             return False  # opaque predicate: unknown column needs
-        if not all(walk(c, acc) for c in _subqueries(q)):
+        if not all(walk(c, acc) for c in ast.children(q)):
             return False
         f = getattr(q, "field", None)
         if isinstance(f, str):
             acc.add(f.split(".")[0])
-        if isinstance(q, (ast.Parse, ast.ParseWithField)):
-            # a query STRING can scope any field (``category:electronics``),
-            # so parse it and walk the resulting AST — adding only the
-            # default search fields would prune a scoped KEYWORD/numeric
-            # column and crash the stats/scoring pass
-            from paradedb_ray.query.parser import parse_query_string
-
-            dfs = ([q.field] if isinstance(q, ast.ParseWithField)
-                   else schema.default_search_fields)
-            try:
-                parsed = parse_query_string(q.query_string, schema, dfs,
-                                            bool(q.conjunction_mode),
-                                            bool(q.lenient))
-            except Exception:
-                return False  # unparseable here: skip pruning entirely
-            if not walk(parsed, acc):
-                return False
         if isinstance(q, ast.MoreLikeThis):
             acc.update(schema.default_search_fields)
             for fld, _ in (q.document_fields or ()):
@@ -117,54 +87,41 @@ def resolve_more_like_this(ds: ray.data.Dataset, schema: IndexSchema,
     """Rewrite MoreLikeThis ``key_value`` exemplars into ``document_fields``
     by fetching the exemplar row once on the driver (the reference looks the
     document up in the index the same way,
-    `api/builder_fns/mlt.rs:28-100`)."""
-    import copy
+    `api/builder_fns/mlt.rs:28-100`).  Returns a copy: ``query`` itself is
+    never changed, so it resolves afresh against another Dataset."""
+    from paradedb_ray.schema import JSON as _JSON
 
-    def walk(q):
-        if isinstance(q, ast.MoreLikeThis) and q.key_value is not None \
-                and not q.document_fields:
-            from paradedb_ray.schema import JSON as _JSON
+    def resolve(q):
+        if not (isinstance(q, ast.MoreLikeThis) and q.key_value is not None
+                and not q.document_fields):
+            return q
+        for fname in q.fields or ():
+            fdef = schema.fields.get(fname)
+            if fdef is not None and fdef.ftype == _JSON:
+                # reference: ERROR `json fields are not supported for
+                # more_like_this` (more_like_this.sql regress)
+                raise ValueError(
+                    "json fields are not supported for more_like_this")
+        key = schema.key_fields[0]
+        # small pushdown filter: only the exemplar row leaves the read
+        matches = ds.map_batches(
+            _rows_with_key, fn_kwargs={"key": key, "value": q.key_value},
+            batch_format="pyarrow", batch_size=None).take(1)
+        if not matches:
+            return dataclasses.replace(q, document_fields=[])
+        r = matches[0]
+        # field-less MLT uses every indexed non-JSON field (numeric /
+        # keyword values count as single terms, JSON and list columns
+        # are skipped — more_like_this.sql regress incl. issue #5826)
+        wanted = (list(q.fields) if q.fields else
+                  [f.name for f in schema.fields.values()
+                   if f.ftype != _JSON and f.indexed
+                   and f.name not in schema.key_fields])
+        return dataclasses.replace(q, document_fields=[
+            (fname, r.get(fname)) for fname in wanted
+            if fname in schema.fields and r.get(fname) is not None])
 
-            if q.fields:
-                for fname in q.fields:
-                    fdef = schema.fields.get(fname)
-                    if fdef is not None and fdef.ftype == _JSON:
-                        # reference: ERROR `json fields are not supported
-                        # for more_like_this` (more_like_this.sql regress)
-                        raise ValueError(
-                            "json fields are not supported for "
-                            "more_like_this")
-            key = schema.key_fields[0]
-            # small pushdown filter: only the exemplar row leaves the read
-            matches = ds.map_batches(
-                _rows_with_key, fn_kwargs={"key": key, "value": q.key_value},
-                batch_format="pyarrow", batch_size=None).take(1)
-            if not matches:
-                q2 = copy.copy(q)
-                q2.document_fields = []
-                return q2
-            r = matches[0]
-            q2 = copy.copy(q)
-            # field-less MLT uses every indexed non-JSON field (numeric /
-            # keyword values count as single terms, JSON and list columns
-            # are skipped — more_like_this.sql regress incl. issue #5826)
-            wanted = (list(q.fields) if q.fields else
-                      [f.name for f in schema.fields.values()
-                       if f.ftype != _JSON and f.indexed
-                       and f.name not in schema.key_fields])
-            q2.document_fields = [
-                (fname, r.get(fname)) for fname in wanted
-                if fname in schema.fields and r.get(fname) is not None]
-            return q2
-        for attr in _LIST_CHILDREN:
-            if getattr(q, attr, None):
-                setattr(q, attr, [walk(c) for c in getattr(q, attr)])
-        for attr in _NODE_CHILDREN:
-            if isinstance(getattr(q, attr, None), ast.Query):
-                setattr(q, attr, walk(getattr(q, attr)))
-        return q
-
-    return walk(query)
+    return ast.rewrite(query, resolve)
 
 
 def _matches_need_stats(q: ast.Query) -> bool:
@@ -173,9 +130,10 @@ def _matches_need_stats(q: ast.Query) -> bool:
     terms by document frequency (``min/max_doc_frequency`` and the
     ``max_query_terms`` cut), so segment-local stats would make either
     depend on the block layout.  Every other node matches the same docs
-    under any stats."""
+    under any stats.  A query string never parses to either node, so
+    an unbound tree answers the same."""
     return isinstance(q, (ast.ScoreFilter, ast.MoreLikeThis)) or any(
-        _matches_need_stats(c) for c in _subqueries(q))
+        _matches_need_stats(c) for c in ast.children(q))
 
 
 def search(
@@ -191,7 +149,9 @@ def search(
     """Filter ``ds`` to rows matching ``query``; appends ``score`` (f32).
 
     ``query`` may be an AST node or a query string (parsed over the
-    schema's default search fields, i.e. ``paradedb.parse``).
+    schema's default search fields, i.e. ``paradedb.parse``).  Every
+    query string in it is bound (``parser.bind``) once, on the driver:
+    an invalid non-lenient one raises ``ValueError`` here.
 
     The stats pass runs only when something reads a score: it is skipped
     when ``with_score=False``, no ``snippet_cfgs`` and no ``stats`` are
@@ -200,9 +160,7 @@ def search(
     which select the same rows (a term absent from a block has no
     postings there under any stats).
     """
-    if isinstance(query, str):
-        query = ast.Parse(query)
-    query = resolve_more_like_this(ds, schema, query)
+    query = resolve_more_like_this(ds, schema, bind(query, schema))
     ds = _prune_columns(ds, schema, [query], output_columns, snippet_cfgs)
     if stats is None and (with_score or snippet_cfgs
                           or _matches_need_stats(query)):
@@ -329,9 +287,8 @@ def _topk(ds, schema: IndexSchema, queries: dict, limit: int, order_by, *,
     the two-pass route.  Rows carry the ORDER BY columns until the final
     merge, which projects to ``output_columns`` (+``query_id`` unless
     ``query_id`` is False)."""
-    queries = {name: resolve_more_like_this(
-        ds, schema, ast.Parse(q) if isinstance(q, str) else q)
-        for name, q in queries.items()}
+    queries = {name: resolve_more_like_this(ds, schema, bind(q, schema))
+               for name, q in queries.items()}
     order_by = (list(order_by) if order_by is not None
                 else [("score", "descending")])
     need = limit + offset
@@ -518,9 +475,7 @@ def search_topk_with_facet(
     ``(topk pa.Table, facet pa.Table)``."""
     import numpy as np
 
-    if isinstance(query, str):
-        query = ast.Parse(query)
-    query = resolve_more_like_this(ds, schema, query)
+    query = resolve_more_like_this(ds, schema, bind(query, schema))
     order_by = (list(order_by) if order_by is not None
                 else [("score", "descending")])
     sort_cols = [k[0] for k in order_by]
@@ -617,11 +572,7 @@ def search_topk_with_facet(
                                 ft.column("__fn").to_pylist()))
     else:
         topk, facet_counts = pa.table({}), {}
-    items = sorted(facet_counts.items(), key=lambda kv: (-kv[1], str(kv[0])))
-    facet = pa.table({facet_field: pa.array([v for v, _ in items]),
-                      "doc_count": pa.array([n for _, n in items],
-                                            pa.int64())})
-    return topk, facet
+    return topk, terms_facet(facet_field, [facet_counts])
 
 
 def search_count(
@@ -638,9 +589,7 @@ def search_count(
     from paradedb_ray.index.searcher import Searcher
     from paradedb_ray.index.segment import build_segment
 
-    if isinstance(query, str):
-        query = ast.Parse(query)
-    query = resolve_more_like_this(ds, schema, query)
+    query = resolve_more_like_this(ds, schema, bind(query, schema))
     ds = _prune_columns(ds, schema, [query],
                         output_columns=list(schema.key_fields) or None)
     if stats is None and _matches_need_stats(query):

@@ -18,8 +18,9 @@ conformance vectors for the AST layer.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field as dfield
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 
 class Query:
@@ -531,6 +532,47 @@ class MoreLikeThis(Query):
             "min_word_length": self.min_word_length,
             "max_word_length": self.max_word_length,
             "boost_factor": self.boost_factor, "stop_words": self.stop_words}}
+
+
+# ---------------------------------------------------------------------------
+# Child queries: the one walk
+# ---------------------------------------------------------------------------
+
+#: node attributes that hold child queries: a list of them, or one node
+_CHILD_ATTRS = ("must", "should", "must_not", "disjuncts", "query",
+                "indexed_query")
+
+
+def _child_slots(q: Query):
+    """``(attribute, children)`` for each attribute of ``q`` holding child
+    queries; ``children`` is a list, or a query when the slot holds one."""
+    for attr in _CHILD_ATTRS:
+        sub = getattr(q, attr, None)
+        if isinstance(sub, Query) or (isinstance(sub, (list, tuple)) and sub):
+            yield attr, sub
+
+
+def children(q: Query):
+    """The direct child queries of ``q``.  Every query analysis (stat
+    requests, positions, single-scan terms, column pruning, the stats-pass
+    decision) recurses through here, and so does :func:`rewrite`."""
+    for _, sub in _child_slots(q):
+        yield from (sub if isinstance(sub, (list, tuple)) else (sub,))
+
+
+def rewrite(q: Query, fn: Callable[[Query], Query]) -> Query:
+    """Bottom-up copy-on-write rewrite: each node, its children rewritten
+    first, is replaced by ``fn(node)``.  A node is copied only when one
+    of its children changed, so the input tree is never mutated and an
+    ``fn`` that changes nothing returns ``q`` itself."""
+    changed = {}
+    for attr, sub in _child_slots(q):
+        many = isinstance(sub, (list, tuple))
+        old = list(sub) if many else [sub]
+        new = [rewrite(c, fn) for c in old]
+        if any(n is not o for n, o in zip(new, old)):
+            changed[attr] = new if many else new[0]
+    return fn(dataclasses.replace(q, **changed) if changed else q)
 
 
 # ---------------------------------------------------------------------------

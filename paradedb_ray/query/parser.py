@@ -15,7 +15,7 @@ several -> Phrase (Lucene/tantivy behavior), zero -> no clause.
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import Optional, Union
 
 from paradedb_ray.query import ast
 from paradedb_ray.schema import IndexSchema, TEXT, KEYWORD, I64, U64, F64, BOOL, DATE
@@ -379,3 +379,29 @@ def parse_query_string(
         if lenient:
             return ast.Empty()
         raise
+
+
+def bind(q: Union[ast.Query, str], schema: IndexSchema) -> ast.Query:
+    """The AST ``q`` evaluates: a copy of ``q`` with every query string
+    parsed — ``ParseWithField`` over its field, ``Parse`` (and a bare
+    ``str``) over ``schema.default_search_fields``, each with its own
+    ``conjunction_mode`` and ``lenient``.  The only caller of
+    :func:`parse_query_string` outside this module.  Idempotent, and it
+    never mutates ``q``.  Every query entry binds once on the driver, so
+    an invalid non-lenient string raises ``ValueError`` there and no
+    scorer, stats pass or partition actor ever parses."""
+    if isinstance(q, str):
+        q = ast.Parse(q)
+
+    def parse(node: ast.Query) -> ast.Query:
+        if isinstance(node, ast.ParseWithField):
+            fields = [node.field]
+        elif isinstance(node, ast.Parse):
+            fields = schema.default_search_fields
+        else:
+            return node
+        return parse_query_string(node.query_string, schema, fields,
+                                  bool(node.conjunction_mode),
+                                  bool(node.lenient))
+
+    return ast.rewrite(q, parse)

@@ -32,6 +32,7 @@ import ray
 from paradedb_ray.index.searcher import GlobalStats, Searcher
 from paradedb_ray.index.segment import Segment, build_segment
 from paradedb_ray.query import ast
+from paradedb_ray.query.parser import bind
 from paradedb_ray.schema import IndexSchema, NUMERIC, TEXT, KEYWORD, JSON
 from paradedb_ray.stages.blocks import concat_blocks, tree_reduce_refs
 
@@ -41,8 +42,7 @@ from paradedb_ray.stages.blocks import concat_blocks, tree_reduce_refs
 # ---------------------------------------------------------------------------
 
 
-def collect_stat_requests(q: ast.Query, schema: IndexSchema,
-                          default_fields: Optional[list] = None) -> dict:
+def collect_stat_requests(q, schema: IndexSchema) -> dict:
     """-> {"terms": set[(field, term)], "fields": set[field]} — the term
     doc-freqs and field token totals BM25 scoring will look up."""
     terms: set = set()
@@ -56,29 +56,14 @@ def collect_stat_requests(q: ast.Query, schema: IndexSchema,
             return f.search_analyzer.tokenize(value)
         return [value]
 
-    def norm_token(field, value):
-        # Term/MatchArray values are RAW — the reference's value_to_term
-        # never runs the analyzer (`query/mod.rs:1630-1660`; citext.out:
-        # === 'QUICK' matches nothing).  Keys here must mirror what the
-        # Searcher looks up or global df resolution silently misses.
-        return value
-
-    def walk(q, dfields):
-        if isinstance(q, ast.Boolean):
-            for c in q.must + q.should + q.must_not:
-                walk(c, dfields)
-        elif isinstance(q, (ast.Boost, ast.ConstScore)):
-            walk(q.query, dfields)
-        elif isinstance(q, ast.ScoreFilter):
-            if q.query is not None:
-                walk(q.query, dfields)
-        elif isinstance(q, ast.DisjunctionMax):
-            for c in q.disjuncts:
-                walk(c, dfields)
-        elif isinstance(q, ast.HeapFilter):
-            walk(q.indexed_query, dfields)
-        elif isinstance(q, ast.Term):
-            terms.add((q.field, norm_token(q.field, q.value)))
+    def walk(q):
+        if isinstance(q, ast.Term):
+            # Term/MatchArray values are RAW — the reference's
+            # value_to_term never runs the analyzer (`query/mod.rs:
+            # 1630-1660`; citext.out: === 'QUICK' matches nothing).  Keys
+            # here must mirror what the Searcher looks up or global df
+            # resolution silently misses.
+            terms.add((q.field, q.value))
             fields.add(q.field.split(".")[0])
         elif isinstance(q, ast.Match):
             for t in field_tokens(q.field, q.value):
@@ -88,7 +73,7 @@ def collect_stat_requests(q: ast.Query, schema: IndexSchema,
         elif isinstance(q, ast.MatchArray):
             if q.distance == 0:
                 for t in q.tokens:
-                    terms.add((q.field, norm_token(q.field, t)))
+                    terms.add((q.field, t))
             fields.add(q.field)
         elif isinstance(q, (ast.Phrase, ast.TokenizedPhrase, ast.PhraseArray)):
             fields.add(q.field)
@@ -105,19 +90,6 @@ def collect_stat_requests(q: ast.Query, schema: IndexSchema,
             for w in list(q.phrases)[:-1]:
                 for t in field_tokens(q.field, w):
                     terms.add((q.field, t))
-        elif isinstance(q, ast.ParseWithField):
-            from paradedb_ray.query.parser import parse_query_string
-
-            sub = parse_query_string(q.query_string, schema, [q.field],
-                                     bool(q.conjunction_mode), bool(q.lenient))
-            walk(sub, [q.field])
-        elif isinstance(q, ast.Parse):
-            from paradedb_ray.query.parser import parse_query_string
-
-            dfs = dfields or schema.default_search_fields
-            sub = parse_query_string(q.query_string, schema, dfs,
-                                     bool(q.conjunction_mode), bool(q.lenient))
-            walk(sub, dfs)
         elif isinstance(q, ast.MoreLikeThis):
             for field, text in (q.document_fields or []):
                 fdef = schema.fields.get(field)
@@ -127,8 +99,10 @@ def collect_stat_requests(q: ast.Query, schema: IndexSchema,
                 for t in field_tokens(field, text):
                     terms.add((field, t))
         # fuzzy/regex/term_set/range/exists/proximity: constant score — no df
+        for c in ast.children(q):
+            walk(c)
 
-    walk(q, default_fields)
+    walk(bind(q, schema))
     return {"terms": terms, "fields": fields}
 
 
@@ -141,39 +115,18 @@ def merge_stat_requests(reqs: list) -> dict:
     return out
 
 
-def needs_positions(q: ast.Query, schema: Optional[IndexSchema] = None,
-                    default_fields: Optional[list] = None) -> bool:
+_POSITIONAL = (ast.Phrase, ast.TokenizedPhrase, ast.PhraseArray,
+               ast.PhrasePrefix, ast.RegexPhrase, ast.Proximity)
+
+
+def needs_positions(q, schema: IndexSchema) -> bool:
     """True iff evaluating ``q`` needs positional postings (phrase /
     proximity family); term-only queries can skip position storage."""
-    if isinstance(q, (ast.Phrase, ast.TokenizedPhrase, ast.PhraseArray,
-                      ast.PhrasePrefix, ast.RegexPhrase, ast.Proximity)):
-        return True
-    if isinstance(q, ast.Boolean):
-        return any(needs_positions(c, schema, default_fields)
-                   for c in q.must + q.should + q.must_not)
-    if isinstance(q, (ast.Boost, ast.ConstScore)):
-        return needs_positions(q.query, schema, default_fields)
-    if isinstance(q, ast.ScoreFilter):
-        return q.query is not None and needs_positions(q.query, schema,
-                                                       default_fields)
-    if isinstance(q, ast.DisjunctionMax):
-        return any(needs_positions(c, schema, default_fields)
-                   for c in q.disjuncts)
-    if isinstance(q, ast.HeapFilter):
-        return needs_positions(q.indexed_query, schema, default_fields)
-    if isinstance(q, (ast.Parse, ast.ParseWithField)):
-        if schema is None:
-            return True  # conservative: query strings may contain phrases
-        from paradedb_ray.query.parser import parse_query_string
+    def walk(q) -> bool:
+        return isinstance(q, _POSITIONAL) or any(
+            walk(c) for c in ast.children(q))
 
-        if isinstance(q, ast.ParseWithField):
-            dfs = [q.field]
-        else:
-            dfs = default_fields or schema.default_search_fields
-        sub = parse_query_string(q.query_string, schema, dfs,
-                                 bool(q.conjunction_mode), bool(q.lenient))
-        return needs_positions(sub, schema, dfs)
-    return False
+    return walk(bind(q, schema))
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +294,7 @@ def reduce_stats_partials(refs: list) -> GlobalStats:
     return g
 
 
-def compute_global_stats(ds, schema: IndexSchema, query,
-                         default_fields: Optional[list] = None) -> GlobalStats:
+def compute_global_stats(ds, schema: IndexSchema, query) -> GlobalStats:
     """Run the stats pass and reduce (the global stats exchange barrier).
     ``query`` is one query or a list of them (one shared pass over the
     union of their stat requests).
@@ -352,7 +304,7 @@ def compute_global_stats(ds, schema: IndexSchema, query,
     integer sum, so the merge is associative/commutative and the tree is
     bit-identical to the old driver loop at any block count."""
     queries = query if isinstance(query, (list, tuple)) else [query]
-    req = merge_stat_requests([collect_stat_requests(q, schema, default_fields)
+    req = merge_stat_requests([collect_stat_requests(q, schema)
                                for q in queries])
     read_cols = sorted(
         {f.split(".")[0] for f in req["fields"]}
@@ -473,6 +425,7 @@ def search_agg_filters(schema: IndexSchema, queries: dict,
     + postings) is built ONCE and shared by every mask through a
     per-batch memo — the same amortization as ``SegmentScorer`` —
     so twelve FILTER clauses cost one tokenize pass per block."""
+    queries = {name: bind(q, schema) for name, q in queries.items()}
     need_pos = any(needs_positions(q, schema) for q in queries.values())
     memo: dict = {}
 
@@ -572,6 +525,20 @@ def rank_head(table: pa.Table, order_by, limit: Optional[int],
     return out.drop_columns(helpers) if helpers else out
 
 
+def terms_facet(field: str, partials) -> pa.Table:
+    """A terms facet from its partial ``{value: doc count}`` dicts: counts
+    summed per value, ordered count desc then value asc (pg_search's
+    terms aggregation, `aggregate/mod.rs`).  The batch facet tree and the
+    streaming partitions both finish here."""
+    counts: dict = {}
+    for part in partials:
+        for v, n in part.items():
+            counts[v] = counts.get(v, 0) + n
+    items = sorted(counts.items(), key=lambda kv: (-kv[1], str(kv[0])))
+    return pa.table({field: pa.array([v for v, _ in items]),
+                     "doc_count": pa.array([n for _, n in items], pa.int64())})
+
+
 # ---------------------------------------------------------------------------
 # Single-scan standing-query path
 # ---------------------------------------------------------------------------
@@ -590,8 +557,7 @@ def rank_head(table: pa.Table, order_by, limit: Optional[int],
 # back to the two-pass route.
 
 
-def single_scan_terms(q: ast.Query, schema: IndexSchema,
-                      default_fields: Optional[list] = None):
+def single_scan_terms(q, schema: IndexSchema):
     """-> {field: set[term]} when ``q`` is eligible for the single-scan
     path (every lookup it will perform is a known term on an indexed TEXT
     field), else None.  The collected terms mirror EXACTLY what each
@@ -609,37 +575,12 @@ def single_scan_terms(q: ast.Query, schema: IndexSchema,
         toks = f.search_analyzer.filters.apply_texts([str(value)])
         return toks[0] if toks else str(value)
 
-    def walk(q, dfields) -> bool:
-        if isinstance(q, ast.Boolean):
-            return all(walk(c, dfields)
-                       for c in q.must + q.should + q.must_not)
-        if isinstance(q, ast.DisjunctionMax):
-            return all(walk(c, dfields) for c in q.disjuncts)
-        if isinstance(q, (ast.Boost, ast.ConstScore)):
-            return walk(q.query, dfields)
+    def walk(q) -> bool:
+        if isinstance(q, (ast.Boolean, ast.DisjunctionMax, ast.Boost,
+                          ast.ConstScore)):
+            return all(walk(c) for c in ast.children(q))
         if isinstance(q, ast.ScoreFilter):
-            return q.query is not None and walk(q.query, dfields)
-        if isinstance(q, ast.Parse):
-            from paradedb_ray.query.parser import parse_query_string
-
-            dfs = dfields or schema.default_search_fields
-            try:
-                sub = parse_query_string(q.query_string, schema, dfs,
-                                         bool(q.conjunction_mode),
-                                         bool(q.lenient))
-            except Exception:
-                return False
-            return walk(sub, dfs)
-        if isinstance(q, ast.ParseWithField):
-            from paradedb_ray.query.parser import parse_query_string
-
-            try:
-                sub = parse_query_string(q.query_string, schema, [q.field],
-                                         bool(q.conjunction_mode),
-                                         bool(q.lenient))
-            except Exception:
-                return False
-            return walk(sub, [q.field])
+            return q.query is not None and walk(q.query)
         if isinstance(q, ast.Term):
             f = text_field(q.field)
             if f is None:
@@ -686,7 +627,7 @@ def single_scan_terms(q: ast.Query, schema: IndexSchema,
             return True
         return False
 
-    return out if walk(q, default_fields) else None
+    return out if walk(bind(q, schema)) else None
 
 
 def build_query_segment(batch: pa.Table, schema: IndexSchema,

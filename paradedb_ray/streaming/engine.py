@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -46,11 +46,13 @@ import pyarrow.parquet as pq
 import ray
 
 from paradedb_ray.query import ast
+from paradedb_ray.query.parser import bind
 from paradedb_ray.schema import IndexSchema
 from paradedb_ray.index.searcher import GlobalStats
 from paradedb_ray.stages.blocks import collect_table, concat_blocks
 from paradedb_ray.stages.search_stages import (collect_stat_requests,
-                                               rank_head)
+                                               merge_stat_requests,
+                                               rank_head, terms_facet)
 from paradedb_ray.streaming.state_store import (
     Bm25PartitionStore,
     EvalSpec,
@@ -68,10 +70,6 @@ from paradedb_ray.config import DEFAULT as _CFG
 
 #: an all-empty cross-partition result is ``pa.table({})`` (no columns)
 _NO_COLUMNS = pa.schema([])
-
-
-def _as_query(query: Union[ast.Query, str]) -> ast.Query:
-    return ast.Parse(query) if isinstance(query, str) else query
 
 
 @dataclass
@@ -404,12 +402,8 @@ class StreamEngine:
         partials) over the union of the queries' stat requests.  BM25
         stays exact for each query: the stats are keyed per field and per
         (field, term), so extra entries never change a lookup."""
-        req = {"terms": set(), "fields": set()}
-        for q in queries:
-            r = collect_stat_requests(q, self.schema)
-            req["terms"] |= r["terms"]
-            req["fields"] |= r["fields"]
-        rp = pickle.dumps(req)
+        rp = pickle.dumps(merge_stat_requests(
+            [collect_stat_requests(q, self.schema) for q in queries]))
         partials = ray.get([a.stats_partial.remote(rp) for a in self.actors])
         g = GlobalStats()
         for p in partials:
@@ -422,7 +416,9 @@ class StreamEngine:
         stat requests, then ONE ``evaluate`` call per partition actor.
         Per spec: the merge-ranked table (score desc then key asc, cut to
         ``k``), or for a facet the terms table (count desc then value
-        asc, pg_search facet semantics, `aggregate/mod.rs` terms agg)."""
+        asc, pg_search facet semantics, `aggregate/mod.rs` terms agg).
+        Each spec's query is bound here, once: the actors never parse."""
+        specs = [replace(s, query=bind(s.query, self.schema)) for s in specs]
         stats = self.global_stats(*[s.query for s in specs])
         sp, stp = pickle.dumps(specs), pickle.dumps(stats)
         per_actor = ray.get([a.evaluate.remote(sp, stp)
@@ -431,16 +427,7 @@ class StreamEngine:
         for i, spec in enumerate(specs):
             parts = [p[i] for p in per_actor]
             if spec.facet_field:
-                counts: dict = {}
-                for p in parts:
-                    for v, n in p.items():
-                        counts[v] = counts.get(v, 0) + n
-                items = sorted(counts.items(),
-                               key=lambda kv: (-kv[1], str(kv[0])))
-                out.append(pa.table({
-                    spec.facet_field: pa.array([v for v, _ in items]),
-                    "doc_count": pa.array([n for _, n in items], pa.int64()),
-                }))
+                out.append(terms_facet(spec.facet_field, parts))
                 continue
             t = concat_blocks(parts, _NO_COLUMNS)
             if t.num_rows:
@@ -457,7 +444,7 @@ class StreamEngine:
                    columns: Optional[list] = None,
                    with_score: bool = True,
                    snippet_cfg=None) -> pa.Table:
-        return self.evaluate([EvalSpec(_as_query(query), k, with_score,
+        return self.evaluate([EvalSpec(query, k, with_score,
                                        columns, snippet_cfg)])[0]
 
     def verify_index(self, heapallindexed: bool = False,
@@ -538,7 +525,8 @@ class StreamEngine:
         streaming analogue of `WHERE ... @@@ ... ORDER BY vec <op> q
         LIMIT k` (`vector_search_pushdown.sql`).  Sees the mutable
         buffers, respects upsert/delete visibility, survives merges."""
-        filter_query = _as_query(filter_query)
+        if filter_query is not None:
+            filter_query = bind(filter_query, self.schema)
         fp = pickle.dumps(filter_query) if filter_query is not None else None
         sp = (pickle.dumps(self.global_stats(filter_query))
               if filter_query is not None else None)
@@ -556,13 +544,11 @@ class StreamEngine:
     def query_matches(self, query: Union[ast.Query, str],
                       columns: Optional[list] = None) -> pa.Table:
         """Full match set across partitions (standing-query emission)."""
-        return self.evaluate([EvalSpec(_as_query(query),
-                                       columns=columns)])[0]
+        return self.evaluate([EvalSpec(query, columns=columns)])[0]
 
     def facet(self, query: Union[ast.Query, str], field: str) -> pa.Table:
         """Terms facet over the standing match set."""
-        return self.evaluate([EvalSpec(_as_query(query),
-                                       facet_field=field)])[0]
+        return self.evaluate([EvalSpec(query, facet_field=field)])[0]
 
     def metrics(self) -> list:
         return ray.get([a.metrics.remote() for a in self.actors])
@@ -881,10 +867,10 @@ class EpochRunner:
             self._emit_patterns(epoch, sessions, table.schema)
         # every standing query and facet of the epoch: one stats exchange
         # and one evaluate call per partition actor, whatever their count
-        specs = [EvalSpec(_as_query(q), self.topk, columns=self.columns,
+        specs = [EvalSpec(q, self.topk, columns=self.columns,
                           snippet_cfg=self.snippet_cfg)
                  for q in self.standing.values()]
-        specs += [EvalSpec(_as_query(fq), facet_field=ffield)
+        specs += [EvalSpec(fq, facet_field=ffield)
                   for fq, ffield in self.facets.values()]
         results = eng.evaluate(specs) if specs else []
         n_standing = len(self.standing)

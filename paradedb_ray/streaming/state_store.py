@@ -95,7 +95,9 @@ class EvalSpec:
     """One request of an epoch's shared evaluation
     (:meth:`Bm25PartitionStore.evaluate`): the ``k`` best hits by score
     desc then key asc (``k=None``: every match), or, with
-    ``facet_field``, that field's value counts over the matches."""
+    ``facet_field``, that field's value counts over the matches.
+    ``query`` may be a query string: ``StreamEngine.evaluate`` binds it
+    before any actor sees it."""
 
     query: object
     k: Optional[int] = None

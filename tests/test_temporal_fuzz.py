@@ -18,7 +18,8 @@ import ray.data
 
 from paradedb_ray.pipelines.aggregate import (partitioned_window,
                                               time_rolling_window)
-from paradedb_ray.pipelines.joins import asof_join, interval_join
+from paradedb_ray.pipelines.joins import (asof_join, interval_join,
+                                         range_join)
 
 
 def canon(df):
@@ -222,6 +223,29 @@ def test_interval_join_past_2_53_us_vs_duckdb(ray_session):
           SELECT l.*, r.ws, r.we, r.wid FROM l {join} r
             ON l.k = r.k AND l.ts >= r.ws AND l.ts <= r.we""").df()
         assert_same(out, orc, f"interval {how} past 2^53")
+
+
+def test_range_join_past_2_53_vs_duckdb(ray_session):
+    """Band edges are exact past 2^53: + 3 rounds to + 4 in float64 and
+    would land in the band [+4, +10).  Both edge closings are checked,
+    and a NULL value matches no band."""
+    vals = [None, BIG_US + 3, BIG_US + 4, BIG_US + 9, BIG_US + 10,
+            BIG_US + 11, 5]
+    left = pa.table({"rid": pa.array(np.arange(len(vals), dtype=np.int64)),
+                     "v": pa.array(vals, pa.int64())})
+    bands = pa.table({"lo": pa.array([BIG_US + 4, 0], pa.int64()),
+                      "hi": pa.array([BIG_US + 10, 6], pa.int64()),
+                      "band": ["big", "small"]})
+    con = duckdb.connect()
+    con.register("l", left)
+    con.register("b", bands)
+    lds = ray.data.from_arrow(left).repartition(2)
+    for closed, cmp in (("left", "<"), ("both", "<=")):
+        out = range_join(lds, bands, "v", "lo", "hi", closed=closed)
+        orc = con.execute(f"""
+          SELECT l.*, b.band FROM l JOIN b
+            ON l.v >= b.lo AND l.v {cmp} b.hi""").df()
+        assert_same(out, orc, f"range_join {closed} past 2^53")
 
 
 @pytest.mark.parametrize("seed", range(4))
