@@ -132,15 +132,17 @@ class Segment:
                     continue
                 try:
                     obj = _json.loads(v) if isinstance(v, str) else v
-                    for p in parts:
-                        if isinstance(obj, dict):
-                            obj = obj.get(p)
-                        else:
-                            obj = None
-                            break
-                    out.append(obj)
-                except Exception:
+                except ValueError:
+                    # malformed JSON (JSONDecodeError) has no path value
                     out.append(None)
+                    continue
+                for p in parts:
+                    if isinstance(obj, dict):
+                        obj = obj.get(p)
+                    else:
+                        obj = None
+                        break
+                out.append(obj)
             # element-wise fill: np.array(out, dtype=object) would turn
             # UNIFORM-length list leaves (e.g. every doc's "titles" has 3
             # elements) into a 2-D array, silently changing list elements
@@ -208,10 +210,11 @@ class Segment:
                 if v is None:
                     continue
                 try:
-                    total += count(_json.loads(v) if isinstance(v, str)
-                                   else v)
-                except Exception:
-                    pass
+                    obj = _json.loads(v) if isinstance(v, str) else v
+                except ValueError:
+                    # malformed JSON (JSONDecodeError) indexes no tokens
+                    continue
+                total += count(obj)
             got = total
             self._json_cache[key] = got
         return got
@@ -363,8 +366,15 @@ def _filtered_empty_text_index(vocab_filter, lens, has_value, total,
 def _group_postings(codes, uniques, doc_ids, pos, lens, has_value,
                     total, kept, store_positions) -> TextFieldIndex:
     # group by (code, doc); positions are already ascending within each doc,
-    # and a stable sort keeps them ascending within each group.
-    order = np.lexsort((doc_ids, codes))
+    # and a stable sort keeps them ascending within each group.  When doc
+    # ids arrive non-decreasing (every kernel or list build without
+    # non-ASCII fallback rows), a stable sort by code alone is that same
+    # permutation, and numpy sorts 16-bit keys stably by radix
+    n_terms = len(uniques)
+    if n_terms <= 1 << 16 and not (doc_ids[1:] < doc_ids[:-1]).any():
+        order = np.argsort(codes.astype(np.uint16), kind="stable")
+    else:
+        order = np.lexsort((doc_ids, codes))
     c_s, d_s, p_s = codes[order], doc_ids[order], pos[order]
 
     # group boundaries
@@ -380,7 +390,6 @@ def _group_postings(codes, uniques, doc_ids, pos, lens, has_value,
     g_tf = np.diff(bounds).astype(np.int32)
 
     # per-term ranges over groups (groups sorted by code first)
-    n_terms = len(uniques)
     term_counts = np.bincount(g_code, minlength=n_terms)
     term_offsets = np.zeros(n_terms + 1, dtype=np.int64)
     np.cumsum(term_counts, out=term_offsets[1:])
@@ -411,9 +420,12 @@ def build_text_index_arrow(col, analyzer, store_positions: bool,
                            ) -> Optional[TextFieldIndex]:
     """Vectorized ``_build_text_index`` over an Arrow string column.
 
-    Tokenizes the whole column at once through the byte-class kernel in
-    :mod:`paradedb_ray.text.batch_tokenize` (identical to the per-row
-    ASCII fast path; non-ASCII rows fall back row-wise inside), then
+    Tokenizes the whole column at once into byte spans through
+    :func:`paradedb_ray.text.batch_tokenize.token_spans` (identical to the
+    per-row ASCII fast path; non-ASCII rows fall back row-wise inside).
+    A ``vocab_filter`` build keeps the spans that
+    :func:`~paradedb_ray.text.batch_tokenize.match_terms` finds and never
+    makes a token string; a full build gathers the spans into strings and
     builds the vocabulary with Arrow ``dictionary_encode`` + sort instead
     of ``pd.factorize`` over Python objects.  Returns ``None`` when the
     analyzer or column type is not eligible — the caller falls back to
@@ -423,39 +435,45 @@ def build_text_index_arrow(col, analyzer, store_positions: bool,
     """
     import pyarrow.compute as pc
 
-    from paradedb_ray.text.batch_tokenize import batch_tokenize_arrow
+    from paradedb_ray.text.batch_tokenize import match_terms, token_spans
 
-    got = batch_tokenize_arrow(col, analyzer)
-    if got is None:
+    sp = token_spans(col, analyzer)
+    if sp is None:
         return None
-    tokens, doc_ids, pos, lens, has_value = got
+    lens, has_value = sp.doc_lens, sp.has_value
     total = int(lens.sum())
     if total == 0:
         return _empty_text_index(lens, has_value, store_positions)
     if vocab_filter is not None:
-        vs = pa.array(list(vocab_filter), pa.string())
-        codes = pc.index_in(tokens, value_set=vs).fill_null(-1)
-        codes = codes.to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = codes >= 0
-        codes = codes[keep]
-        doc_ids = doc_ids[keep]
-        pos = pos[keep]
-        uniques = vocab_filter
-        kept = len(codes)
-        if kept == 0:
+        keep, codes = match_terms(sp, vocab_filter)
+        if not len(keep):
             return _filtered_empty_text_index(vocab_filter, lens, has_value,
                                               total, store_positions)
-    else:
-        enc = tokens.dictionary_encode()
-        d = enc.dictionary
-        sort_idx = pc.sort_indices(d).to_numpy()
-        rank = np.empty(len(d), dtype=np.int64)
-        rank[sort_idx] = np.arange(len(d))
-        codes = rank[enc.indices.to_numpy(zero_copy_only=False)]
-        uniques = d.take(pa.array(sort_idx)).to_numpy(zero_copy_only=False)
-        kept = total
-    return _group_postings(codes, uniques, doc_ids, pos, lens, has_value,
-                           total, kept, store_positions)
+        return _group_postings(codes, vocab_filter, sp.doc_ids[keep],
+                               sp.pos[keep], lens, has_value, total,
+                               len(keep), store_positions)
+    enc = sp.strings().dictionary_encode()
+    d = enc.dictionary
+    sort_idx = pc.sort_indices(d).to_numpy()
+    rank = np.empty(len(d), dtype=np.int64)
+    rank[sort_idx] = np.arange(len(d))
+    codes = rank[enc.indices.to_numpy(zero_copy_only=False)]
+    uniques = d.take(pa.array(sort_idx)).to_numpy(zero_copy_only=False)
+    return _group_postings(codes, uniques, sp.doc_ids, sp.pos, lens,
+                           has_value, total, total, store_positions)
+
+
+def text_field_index(col, analyzer, store_positions: bool,
+                     vocab_filter: Optional[np.ndarray] = None,
+                     ) -> TextFieldIndex:
+    """A TEXT column's index: the vectorized Arrow build when the analyzer
+    and column allow it, else the per-row list build (bit-identical)."""
+    ti = build_text_index_arrow(col, analyzer, store_positions,
+                                vocab_filter=vocab_filter)
+    if ti is None:
+        ti = _build_text_index(col.to_pylist(), analyzer, store_positions,
+                               vocab_filter=vocab_filter)
+    return ti
 
 
 def _merge_vocabs(vocabs: list) -> tuple:
@@ -681,13 +699,19 @@ def merge_segments(segments: list, schema: IndexSchema,
 
 
 def build_segment(
-    table: pa.Table, schema: IndexSchema, store_positions: bool = True
+    table: pa.Table, schema: IndexSchema, store_positions: bool = True,
+    terms: Optional[dict] = None,
 ) -> Segment:
     """Build a segment over an Arrow table/batch.
 
     Text fields get postings (+positions); keyword and numeric fields are
     served directly from the Arrow columns (columnar fast fields), like
     tantivy fast fields (`pg_search/src/index/fast_fields_helper.rs`).
+
+    ``terms`` (``{field: sorted-unique term array}``) builds a segment for
+    a known query set: each named TEXT field indexes those terms only
+    (fieldnorms, token totals and doc counts stay whole-column, so BM25
+    over them is unchanged) and other TEXT fields get no index.
     """
     if isinstance(table, (pa.RecordBatch,)):
         table = pa.Table.from_batches([table])
@@ -702,13 +726,12 @@ def build_segment(
     seg = Segment(num_docs=table.num_rows, table=table, schema=schema)
     for f in schema.fields.values():
         if f.ftype == TEXT and f.indexed and f.name in table.column_names:
-            want_pos = store_positions and f.positions
-            ti = build_text_index_arrow(table.column(f.name), f.analyzer,
-                                        want_pos)
-            if ti is None:
-                ti = _build_text_index(table.column(f.name).to_pylist(),
-                                       f.analyzer, want_pos)
-            seg.text[f.name] = ti
+            if terms is not None and f.name not in terms:
+                continue
+            seg.text[f.name] = text_field_index(
+                table.column(f.name), f.analyzer,
+                store_positions and f.positions,
+                vocab_filter=None if terms is None else terms[f.name])
         elif f.ftype == VECTOR and f.name in table.column_names:
             # decode once (warms the fast-field cache) and validate like
             # pgvector's type-level checks (`vector_ingest.sql`): fixed

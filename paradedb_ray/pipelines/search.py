@@ -32,7 +32,8 @@ from paradedb_ray.stages.search_stages import (QueryPacketBuilder,
                                                SegmentScorer,
                                                _merge_stats_parts,
                                                compute_global_stats,
-                                               needs_positions, rank_head,
+                                               needs_positions,
+                                               query_vocab, rank_head,
                                                single_scan_terms, terms_facet)
 
 
@@ -224,13 +225,7 @@ def _single_scan_scored(ds, schema: IndexSchema, queries: dict, columns,
     falls back to the two-pass route, which buffers nothing."""
     if columns is None:
         return None
-    terms_by_field: dict = {}
-    for q in queries.values():
-        m = single_scan_terms(q, schema)
-        if m is None:
-            return None
-        for f, ts in m.items():
-            terms_by_field.setdefault(f, set()).update(ts)
+    terms_by_field = query_vocab(queries.values(), schema)
     if not terms_by_field:
         return None
 

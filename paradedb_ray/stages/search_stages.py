@@ -13,7 +13,11 @@ searcher-global statistics, SURVEY §5 "BM25 parity requirements"):
    evaluates every query of a ``{name: query}`` dict with the broadcast
    global stats, emitting matching rows + ``score`` (+ optional snippet
    columns), pruned per block to each query's head by :func:`rank_head`
-   for a top-k.
+   for a top-k.  When every query is single-scan eligible
+   (:func:`single_scan_terms`) and no snippet is asked for, the segment
+   indexes only the queries' terms (:func:`query_vocab`); its rows,
+   fieldnorms and token totals stay whole-block, so ids and f32 scores
+   equal the full build's.
 
 Both stages are pure functions of their batch: no shuffle, no
 materialization; scale-out is linear in blocks.
@@ -35,6 +39,7 @@ from paradedb_ray.query import ast
 from paradedb_ray.query.parser import bind
 from paradedb_ray.schema import IndexSchema, NUMERIC, TEXT, KEYWORD, JSON
 from paradedb_ray.stages.blocks import concat_blocks, tree_reduce_refs
+from paradedb_ray.text import batch_tokenize
 
 
 # ---------------------------------------------------------------------------
@@ -160,33 +165,23 @@ class StatsCollector:
                 doc_count = 0
                 wanted = {t for (_, t) in by_field.get(fname, ())}
                 dfs = dict.fromkeys(wanted, 0)
-                from paradedb_ray.text.batch_tokenize import \
-                    batch_tokenize_arrow
-
-                got = batch_tokenize_arrow(batch.column(fname), analyzer)
-                if got is not None:
+                sp = batch_tokenize.token_spans(batch.column(fname),
+                                                analyzer)
+                if sp is not None:
                     # vectorized: token totals from per-doc counts, term
-                    # dfs from unique (term, doc) pairs — bit-identical
-                    # to the per-row loop below
-                    import pyarrow.compute as pc
-
-                    tokens, doc_of, _, lens, has_value = got
-                    g.field_total_tokens[fname] = int(lens.sum())
-                    g.field_doc_count[fname] = int(has_value.sum())
-                    if wanted and len(tokens):
-                        wl = sorted(wanted)
-                        codes = pc.index_in(
-                            tokens, value_set=pa.array(wl, pa.string()))
-                        codes = codes.fill_null(-1).to_numpy(
-                            zero_copy_only=False).astype(np.int64)
-                        hit = codes >= 0
-                        if hit.any():
-                            n = max(batch.num_rows, 1)
-                            pairs = np.unique(
-                                codes[hit] * n + doc_of[hit].astype(np.int64))
-                            cnt = np.bincount(pairs // n, minlength=len(wl))
-                            for i, t in enumerate(wl):
-                                g.term_df[(fname, t)] = int(cnt[i])
+                    # dfs from unique (term, doc) pairs of the matched
+                    # spans — bit-identical to the per-row loop below
+                    g.field_total_tokens[fname] = int(sp.doc_lens.sum())
+                    g.field_doc_count[fname] = int(sp.has_value.sum())
+                    wl = sorted(wanted)
+                    hit, codes = batch_tokenize.match_terms(sp, wl)
+                    if len(hit):
+                        n = max(batch.num_rows, 1)
+                        pairs = np.unique(
+                            codes * n + sp.doc_ids[hit].astype(np.int64))
+                        cnt = np.bincount(pairs // n, minlength=len(wl))
+                        for i, t in enumerate(wl):
+                            g.term_df[(fname, t)] = int(cnt[i])
                     for t in wanted:
                         g.term_df.setdefault((fname, t), 0)
                     continue
@@ -360,6 +355,9 @@ class SegmentScorer:
         # snippets need offsets; otherwise only positional queries do
         self.store_positions = bool(self.snippet_cfgs) or any(
             needs_positions(q, schema) for q in queries.values())
+        # a block's segment indexes only the queries' terms when every
+        # query is single-scan eligible; snippets read every token
+        self.vocab = None
         if self.snippet_cfgs:
             from paradedb_ray.index.snippet import query_terms_for_field
 
@@ -367,10 +365,13 @@ class SegmentScorer:
                 (name, cfg.output_name):
                     query_terms_for_field(q, schema, cfg.field)
                 for name, q in queries.items() for cfg in self.snippet_cfgs}
+        else:
+            self.vocab = query_vocab(queries.values(), schema)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         seg = build_segment(batch, self.schema,
-                            store_positions=self.store_positions)
+                            store_positions=self.store_positions,
+                            terms=self.vocab)
         return concat_blocks(self.score(seg, batch), self.out_schema)
 
     def score_packets(self, packets: pa.Table) -> pa.Table:
@@ -424,16 +425,20 @@ def search_agg_filters(schema: IndexSchema, queries: dict,
     only for score-dependent clauses).  The batch's segment (tokenization
     + postings) is built ONCE and shared by every mask through a
     per-batch memo — the same amortization as ``SegmentScorer`` —
-    so twelve FILTER clauses cost one tokenize pass per block."""
+    so twelve FILTER clauses cost one tokenize pass per block, and, as
+    there, it indexes only the clauses' terms when every clause is
+    single-scan eligible."""
     queries = {name: bind(q, schema) for name, q in queries.items()}
     need_pos = any(needs_positions(q, schema) for q in queries.values())
+    vocab = query_vocab(queries.values(), schema)
     memo: dict = {}
 
     def _searcher(batch: pa.Table) -> Searcher:
         # id(batch) is stable while the caller holds the batch across the
         # mask loop; the memo holds ONE entry so peak memory is one segment
         if memo.get("key") != id(batch):
-            seg = build_segment(batch, schema, store_positions=need_pos)
+            seg = build_segment(batch, schema, store_positions=need_pos,
+                                terms=vocab)
             memo["key"] = id(batch)
             memo["searcher"] = Searcher(seg, schema, stats)
         return memo["searcher"]
@@ -561,19 +566,15 @@ def single_scan_terms(q, schema: IndexSchema):
     """-> {field: set[term]} when ``q`` is eligible for the single-scan
     path (every lookup it will perform is a known term on an indexed TEXT
     field), else None.  The collected terms mirror EXACTLY what each
-    ``_eval_*`` looks up: Term/TermSet/MatchArray normalize the literal,
-    Match/Phrase/TokenizedPhrase run the search analyzer, PhraseArray
-    uses its tokens verbatim."""
+    ``_eval_*`` looks up: Term/TermSet/MatchArray use the literal RAW
+    (``Searcher._raw_query_term``), Match/Phrase/TokenizedPhrase run the
+    search analyzer, PhraseArray uses its tokens verbatim."""
     out: dict = {}
 
     def text_field(fname):
         f = schema.fields.get(fname)
         return f if (f is not None and f.ftype == TEXT and f.indexed
                      and "." not in fname) else None
-
-    def norm(f, value):
-        toks = f.search_analyzer.filters.apply_texts([str(value)])
-        return toks[0] if toks else str(value)
 
     def walk(q) -> bool:
         if isinstance(q, (ast.Boolean, ast.DisjunctionMax, ast.Boost,
@@ -585,21 +586,19 @@ def single_scan_terms(q, schema: IndexSchema):
             f = text_field(q.field)
             if f is None:
                 return False
-            out.setdefault(q.field, set()).add(norm(f, q.value))
+            out.setdefault(q.field, set()).add(str(q.value))
             return True
         if isinstance(q, ast.TermSet):
             f = text_field(q.field)
             if f is None:
                 return False
-            out.setdefault(q.field, set()).update(
-                norm(f, t) for t in q.terms)
+            out.setdefault(q.field, set()).update(str(t) for t in q.terms)
             return True
         if isinstance(q, ast.MatchArray):
             f = text_field(q.field)
             if f is None or q.distance > 0:
                 return False
-            out.setdefault(q.field, set()).update(
-                norm(f, t) for t in q.tokens)
+            out.setdefault(q.field, set()).update(str(t) for t in q.tokens)
             return True
         if isinstance(q, ast.Match):
             f = text_field(q.field)
@@ -630,6 +629,21 @@ def single_scan_terms(q, schema: IndexSchema):
     return out if walk(bind(q, schema)) else None
 
 
+def query_vocab(queries, schema: IndexSchema) -> Optional[dict]:
+    """``{field: sorted term array}``: the union of every query's
+    :func:`single_scan_terms` — all a per-block segment built for these
+    queries needs to index (``build_segment(terms=...)``) — or None when
+    any query is ineligible and needs the full index."""
+    out: dict = {}
+    for q in queries:
+        m = single_scan_terms(q, schema)
+        if m is None:
+            return None
+        for f, ts in m.items():
+            out.setdefault(f, set()).update(ts)
+    return {f: np.array(sorted(ts), dtype=object) for f, ts in out.items()}
+
+
 def build_query_segment(batch: pa.Table, schema: IndexSchema,
                         terms_by_field: dict, store_positions: bool,
                         keep_columns: Optional[list]):
@@ -640,8 +654,7 @@ def build_query_segment(batch: pa.Table, schema: IndexSchema,
     docstore columns, and nothing else; the partial stats (num_docs,
     per-field token totals/doc counts, per-term dfs) come from the same
     single tokenization, bit-identical to what ``StatsCollector`` counts."""
-    from paradedb_ray.index.segment import (_build_text_index,
-                                            build_text_index_arrow)
+    from paradedb_ray.index.segment import text_field_index
 
     n = batch.num_rows
     g = GlobalStats(num_docs=n)
@@ -650,15 +663,10 @@ def build_query_segment(batch: pa.Table, schema: IndexSchema,
         f = schema.fields.get(fname)
         if f is None or fname not in batch.column_names:
             continue
-        vf = np.array(sorted(terms), dtype=object)
-        ti = build_text_index_arrow(batch.column(fname), f.analyzer,
-                                    store_positions and f.positions,
-                                    vocab_filter=vf)
-        if ti is None:
-            ti = _build_text_index(batch.column(fname).to_pylist(),
-                                   f.analyzer,
-                                   store_positions and f.positions,
-                                   vocab_filter=vf)
+        ti = text_field_index(batch.column(fname), f.analyzer,
+                              store_positions and f.positions,
+                              vocab_filter=np.array(sorted(terms),
+                                                    dtype=object))
         tis[fname] = ti
         g.field_total_tokens[fname] = ti.total_tokens
         g.field_doc_count[fname] = ti.doc_count

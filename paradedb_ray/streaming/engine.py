@@ -49,7 +49,8 @@ from paradedb_ray.query import ast
 from paradedb_ray.query.parser import bind
 from paradedb_ray.schema import IndexSchema
 from paradedb_ray.index.searcher import GlobalStats
-from paradedb_ray.stages.blocks import collect_table, concat_blocks
+from paradedb_ray.stages.blocks import (cluster_cpus, collect_table,
+                                        concat_blocks)
 from paradedb_ray.stages.search_stages import (collect_stat_requests,
                                                merge_stat_requests,
                                                rank_head, terms_facet)
@@ -671,12 +672,12 @@ def _pattern_reducer(sess_ref, steps, emit, within_us, conv_col, turn_col,
 
 
 #: hash shards of the compacted sessions snapshot — each shard folds
-#: independently (a parallel Ray task per shard), and the snapshot layout
-#: is already the partitioned-output shape a multi-node sink needs.  A
-#: fold rewrites only the shards the un-folded tail touches, and only at
-#: a checkpoint tick whose tail has grown to the snapshot's size
-#: (``EpochRunner._compact_sessions``), so shard rewrites amortize to
-#: O(1) per emitted row
+#: independently (groups of shards fold in O(CPUs) parallel Ray tasks),
+#: and the snapshot layout is already the partitioned-output shape a
+#: multi-node sink needs.  A fold rewrites only the shards the un-folded
+#: tail touches, and only at a checkpoint tick whose tail has grown to
+#: the snapshot's size (``EpochRunner._compact_sessions``), so shard
+#: rewrites amortize to O(1) per emitted row
 _SESSION_SHARDS = 16
 
 
@@ -728,15 +729,19 @@ def _read_session_shard(shard_path, tail_rows) -> pa.Table:
 
 
 @ray.remote
-def _fold_session_shard(new_rows: pa.Table, out_path: str) -> int:
-    """Fold one shard's tail rows into its snapshot and return the
-    snapshot's new row count.  Tombstones (n_turns=0) are KEPT — they void
-    earlier emissions and the read-side filter drops them, so folding is a
-    pure supersede, never a semantic change.  The write is atomic;
-    re-folding the same inputs is idempotent."""
-    out = _shard_view(out_path, new_rows, drop_tombstones=False)
-    _write_atomic_parquet(out, out_path)
-    return out.num_rows
+def _fold_session_shards(*jobs) -> list:
+    """Fold each ``(tail rows, shard path)`` job's rows into that shard's
+    snapshot and return the snapshots' new row counts.  Tombstones
+    (n_turns=0) are KEPT — they void earlier emissions and the read-side
+    filter drops them, so folding is a pure supersede, never a semantic
+    change.  Each shard write is atomic; re-folding the same inputs is
+    idempotent."""
+    counts = []
+    for new_rows, out_path in jobs:
+        out = _shard_view(out_path, new_rows, drop_tombstones=False)
+        _write_atomic_parquet(out, out_path)
+        counts.append(out.num_rows)
+    return counts
 
 
 class EpochRunner:
@@ -1070,10 +1075,12 @@ class EpochRunner:
         than the snapshot's newest is the trace of an interrupted fold and
         finishes it.  The decision reads only the directory (footers and
         sizes), so a resumed runner decides as an uninterrupted one.
-        Shards fold as parallel Ray tasks; each shard write is atomic, and
-        the tail files are removed only after every shard landed — a crash
-        in between re-folds identical rows (a no-op).  Returns the
-        epoch's deterministic fold record for ``metrics/``."""
+        The touched shards fold in at most ``cluster_cpus()`` parallel
+        Ray tasks (a small tail is one task, not one per shard); each
+        shard write is atomic, and the tail files are removed only after
+        every task returned — a crash in between re-folds identical rows
+        (a no-op).  Returns the epoch's deterministic fold record for
+        ``metrics/``."""
         from paradedb_ray.streaming.merge_policy import DEFAULT_LAYER_SIZES
 
         d = os.path.join(self.sink_dir, "sessions")
@@ -1096,13 +1103,18 @@ class EpochRunner:
             new = pa.concat_tables([pq.read_table(p) for p in tail],
                                    promote_options="default")
             shard = _session_shard_of(new.column("conv_id"))
-            refs = {}
+            jobs = []
             for k in range(_SESSION_SHARDS):
                 rows = new.take(pa.array(np.flatnonzero(shard == k),
                                          pa.int64()))
                 if rows.num_rows:
-                    refs[k] = _fold_session_shard.remote(rows, shards[k])
-            snap_rows.update(zip(refs, ray.get(list(refs.values()))))
+                    jobs.append((k, rows))
+            per = max(1, -(-len(jobs) // max(1, cluster_cpus())))
+            groups = [jobs[i:i + per] for i in range(0, len(jobs), per)]
+            refs = [_fold_session_shards.remote(
+                *[(rows, shards[k]) for k, rows in g]) for g in groups]
+            for g, counts in zip(groups, ray.get(refs)):
+                snap_rows.update(zip((k for k, _ in g), counts))
             for p in tail:
                 os.remove(p)
                 self._footers.pop(p, None)
