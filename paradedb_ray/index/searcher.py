@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re as _re
 from dataclasses import dataclass, field as dfield
+from decimal import InvalidOperation
 from typing import Optional
 
 import numpy as np
@@ -263,7 +264,9 @@ class Searcher:
             rep, valid = self._numeric_repr(field)
             try:
                 qv = self._numeric_query_value(field, value)
-            except Exception:
+            except (InvalidOperation, OverflowError, ValueError):
+                # a value no NUMERIC can hold matches no row (the
+                # stats side, ``numeric_term_count``, counts it 0)
                 return Hits.empty()
             mask = valid & (rep == qv)
         elif f.ftype == LTREE:
@@ -571,11 +574,11 @@ class Searcher:
             if isinstance(v, str):
                 try:
                     v = _json.loads(v)
-                except Exception:
+                except ValueError:
                     continue
             try:
                 (lk, lv), (uk, uv) = v
-            except Exception:
+            except (TypeError, ValueError):
                 continue
             valid[i] = True
             if lv is not None:

@@ -90,6 +90,10 @@ def numeric_bytes(value) -> bytes:
     terminator; every byte after the class is complemented for negatives
     so their order reverses."""
     d = _to_decimal(value)
+    if not d.is_finite():
+        # NaN / Infinity have no digits to encode (``scale_i64`` rejects
+        # them too)
+        raise ValueError(f"non-finite numeric value {value!r}")
     if d == 0:
         return _ZERO
     sign, digits, exp = d.as_tuple()

@@ -590,9 +590,11 @@ def search_count(
     if stats is None and _matches_need_stats(query):
         stats = compute_global_stats(ds, schema, query)
     store_pos = needs_positions(query, schema)
+    vocab = query_vocab([query], schema)
 
     def count_block(batch: pa.Table) -> pa.Table:
-        seg = build_segment(batch, schema, store_positions=store_pos)
+        seg = build_segment(batch, schema, store_positions=store_pos,
+                            terms=vocab)
         hits = Searcher(seg, schema, stats).eval(query)
         return pa.table({"n": pa.array([len(hits)], pa.int64())})
 

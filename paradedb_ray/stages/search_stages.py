@@ -3,11 +3,15 @@
 Two-pass model (the Dataset-native analogue of pg_search's scan with
 searcher-global statistics, SURVEY §5 "BM25 parity requirements"):
 
-1. **stats pass** — ``map_batches(StatsCollector)`` computes per-block
-   partial statistics (num docs, per-field token totals, per-term doc
-   freqs for exactly the terms the query needs); the driver reduces the
-   tiny partials into one ``GlobalStats`` — this is the global stats
-   exchange.
+1. **stats pass** — ``map_batches(StatsCollector)`` builds each block's
+   segment over the requested TEXT terms only and reads its partial
+   statistics off it with :func:`segment_stats` (num docs, per-field
+   token totals, per-term doc freqs = postings lengths, for exactly the
+   terms the query needs); the driver reduces the tiny partials into one
+   ``GlobalStats`` — this is the global stats exchange.  The single-scan
+   packets (:func:`build_query_segment`) and the streaming partitions
+   (``Bm25PartitionStore.stats_partial``) take their partials with the
+   same :func:`segment_stats`.
 2. **scoring pass** — ``map_batches(SegmentScorer)`` builds a transient
    segment per block (zero-copy Arrow in, vectorized postings) and
    evaluates every query of a ``{name: query}`` dict with the broadcast
@@ -39,7 +43,6 @@ from paradedb_ray.query import ast
 from paradedb_ray.query.parser import bind
 from paradedb_ray.schema import IndexSchema, NUMERIC, TEXT, KEYWORD, JSON
 from paradedb_ray.stages.blocks import concat_blocks, tree_reduce_refs
-from paradedb_ray.text import batch_tokenize
 
 
 # ---------------------------------------------------------------------------
@@ -61,14 +64,20 @@ def collect_stat_requests(q, schema: IndexSchema) -> dict:
             return f.search_analyzer.tokenize(value)
         return [value]
 
+    def raw_term(field, value):
+        # Term/MatchArray values are RAW — the reference's value_to_term
+        # never runs the analyzer (`query/mod.rs:1630-1660`; citext.out:
+        # === 'QUICK' matches nothing).  Keys here must mirror what the
+        # Searcher looks up or global df resolution silently misses: a
+        # TEXT or KEYWORD field looks the literal up as its string
+        # (``Searcher._raw_query_term``)
+        f = schema.fields.get(field)
+        return (str(value) if f is not None and f.ftype in (TEXT, KEYWORD)
+                else value)
+
     def walk(q):
         if isinstance(q, ast.Term):
-            # Term/MatchArray values are RAW — the reference's
-            # value_to_term never runs the analyzer (`query/mod.rs:
-            # 1630-1660`; citext.out: === 'QUICK' matches nothing).  Keys
-            # here must mirror what the Searcher looks up or global df
-            # resolution silently misses.
-            terms.add((q.field, q.value))
+            terms.add((q.field, raw_term(q.field, q.value)))
             fields.add(q.field.split(".")[0])
         elif isinstance(q, ast.Match):
             for t in field_tokens(q.field, q.value):
@@ -78,7 +87,7 @@ def collect_stat_requests(q, schema: IndexSchema) -> dict:
         elif isinstance(q, ast.MatchArray):
             if q.distance == 0:
                 for t in q.tokens:
-                    terms.add((q.field, t))
+                    terms.add((q.field, raw_term(q.field, t)))
             fields.add(q.field)
         elif isinstance(q, (ast.Phrase, ast.TokenizedPhrase, ast.PhraseArray)):
             fields.add(q.field)
@@ -139,77 +148,57 @@ def needs_positions(q, schema: IndexSchema) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def segment_stats(seg: Segment, schema: IndexSchema,
+                  requests: dict) -> GlobalStats:
+    """The partial ``GlobalStats`` of ``seg`` for ``requests`` (see
+    :func:`collect_stat_requests`): its doc count, and per requested
+    field its token total, doc count and each requested term's df.  A
+    field with a text index reads them off it, so a df is always a
+    postings length; any other field is counted by
+    :func:`add_column_stats`.  Every stats partial goes through here:
+    the batch ``StatsCollector``, the single-scan packets and the
+    streaming partition store."""
+    g = GlobalStats(num_docs=seg.num_docs)
+    by_field: dict = {}
+    for f, t in requests["terms"]:
+        by_field.setdefault(f.split(".")[0], []).append((f, t))
+    for fname in set(requests["fields"]) | set(by_field):
+        ti = seg.text.get(fname)
+        if ti is not None:
+            g.field_total_tokens[fname] = ti.total_tokens
+            g.field_doc_count[fname] = ti.doc_count
+            for key in by_field.get(fname, ()):
+                g.term_df[key] = ti.doc_freq(key[1])
+            continue
+        fdef = schema.fields.get(fname)
+        if fdef is None or fname not in seg.table.column_names:
+            continue
+        add_column_stats(g, seg, fdef, fname, by_field.get(fname, ()))
+    return g
+
+
 class StatsCollector:
-    """map_batches callable: one tiny row out per block (pickled partial)."""
+    """map_batches callable: one tiny row out per block (pickled partial).
+    The block's segment indexes each requested TEXT field over its
+    requested terms alone (none when only its token totals are asked;
+    fieldnorms and totals stay whole-column) and :func:`segment_stats`
+    reads the partial off it."""
 
     def __init__(self, schema: IndexSchema, requests: dict):
         self.schema = schema
         self.requests = requests
+        wanted: dict = {f: set() for f in requests["fields"]}
+        for f, t in requests["terms"]:
+            wanted.setdefault(f.split(".")[0], set()).add(t)
+        self.terms = {
+            f: np.array(sorted(ts), dtype=object)
+            for f, ts in wanted.items()
+            if f in schema.fields and schema.fields[f].ftype == TEXT}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        g = GlobalStats(num_docs=batch.num_rows)
-        by_field: dict = {}
-        for f, t in self.requests["terms"]:
-            by_field.setdefault(f.split(".")[0], set()).add((f, t))
-        need_fields = set(self.requests["fields"]) | set(by_field)
-        # the batch's rows as a segment (JSON paths index lazily on it)
-        seg = Segment(num_docs=batch.num_rows, table=batch,
-                      schema=self.schema)
-        for fname in need_fields:
-            f = self.schema.fields.get(fname)
-            if f is None or fname not in batch.column_names:
-                continue
-            if f.ftype == TEXT:
-                analyzer = f.analyzer
-                total = 0
-                doc_count = 0
-                wanted = {t for (_, t) in by_field.get(fname, ())}
-                dfs = dict.fromkeys(wanted, 0)
-                sp = batch_tokenize.token_spans(batch.column(fname),
-                                                analyzer)
-                if sp is not None:
-                    # vectorized: token totals from per-doc counts, term
-                    # dfs from unique (term, doc) pairs of the matched
-                    # spans — bit-identical to the per-row loop below
-                    g.field_total_tokens[fname] = int(sp.doc_lens.sum())
-                    g.field_doc_count[fname] = int(sp.has_value.sum())
-                    wl = sorted(wanted)
-                    hit, codes = batch_tokenize.match_terms(sp, wl)
-                    if len(hit):
-                        n = max(batch.num_rows, 1)
-                        pairs = np.unique(
-                            codes * n + sp.doc_ids[hit].astype(np.int64))
-                        cnt = np.bincount(pairs // n, minlength=len(wl))
-                        for i, t in enumerate(wl):
-                            g.term_df[(fname, t)] = int(cnt[i])
-                    for t in wanted:
-                        g.term_df.setdefault((fname, t), 0)
-                    continue
-                for txt in batch.column(fname).to_pylist():
-                    if txt is None:
-                        continue
-                    if isinstance(txt, (list, tuple)):
-                        # TEXT[] multi-value (`tokenize-text-arrays.sql`):
-                        # every element feeds the same field
-                        vals = [x for x in txt if x is not None]
-                        if not vals:
-                            continue
-                        toks = []
-                        for x in vals:
-                            toks.extend(analyzer.tokenize(x))
-                    else:
-                        toks = analyzer.tokenize(txt)
-                    doc_count += 1
-                    total += len(toks)
-                    if wanted:
-                        for t in wanted.intersection(toks):
-                            dfs[t] += 1
-                g.field_total_tokens[fname] = total
-                g.field_doc_count[fname] = doc_count
-                for t, d in dfs.items():
-                    g.term_df[(fname, t)] = d
-            else:
-                add_column_stats(g, seg, f, fname, by_field.get(fname, ()))
+        seg = build_segment(batch, self.schema, store_positions=False,
+                            terms=self.terms)
+        g = segment_stats(seg, self.schema, self.requests)
         return pa.table({"partial": pa.array([pickle.dumps(g)], pa.binary())})
 
 
@@ -649,50 +638,38 @@ def build_query_segment(batch: pa.Table, schema: IndexSchema,
                         keep_columns: Optional[list]):
     """(mini Segment over candidate rows, partial GlobalStats).
 
-    The mini-segment holds vocab-filtered text indexes renumbered to the
+    The block's segment indexes the query terms alone
+    (``build_segment(terms=...)``); its partial stats (num_docs,
+    per-field token totals/doc counts, per-term dfs) are read off it by
+    :func:`segment_stats`, as ``StatsCollector`` reads its own.  The
+    mini-segment then keeps those text indexes renumbered to the
     candidate rows (docs containing >=1 query term), the candidates'
-    docstore columns, and nothing else; the partial stats (num_docs,
-    per-field token totals/doc counts, per-term dfs) come from the same
-    single tokenization, bit-identical to what ``StatsCollector`` counts."""
-    from paradedb_ray.index.segment import text_field_index
+    docstore columns, and nothing else."""
+    import dataclasses
 
-    n = batch.num_rows
-    g = GlobalStats(num_docs=n)
-    tis = {}
-    for fname, terms in terms_by_field.items():
-        f = schema.fields.get(fname)
-        if f is None or fname not in batch.column_names:
-            continue
-        ti = text_field_index(batch.column(fname), f.analyzer,
-                              store_positions and f.positions,
-                              vocab_filter=np.array(sorted(terms),
-                                                    dtype=object))
-        tis[fname] = ti
-        g.field_total_tokens[fname] = ti.total_tokens
-        g.field_doc_count[fname] = ti.doc_count
-        dfs = np.diff(ti.term_offsets)
-        for t, d in zip(ti.vocab, dfs):
-            g.term_df[(fname, str(t))] = int(d)
-    parts = [ti.g_doc for ti in tis.values() if len(ti.g_doc)]
+    terms = {f: np.array(sorted(ts), dtype=object)
+             for f, ts in terms_by_field.items()}
+    seg = build_segment(batch, schema, store_positions=store_positions,
+                        terms=terms)
+    g = segment_stats(seg, schema, {
+        "terms": [(f, t) for f, ts in terms.items() for t in ts],
+        "fields": set(terms)})
+    parts = [ti.g_doc for ti in seg.text.values() if len(ti.g_doc)]
     if parts:
         cand = np.unique(np.concatenate(parts))
     else:
         cand = np.empty(0, dtype=np.int32)
-    import dataclasses
-
-    mini = {}
-    for fname, ti in tis.items():
-        mini[fname] = dataclasses.replace(
+    cols = batch.select(keep_columns) if keep_columns is not None else batch
+    table = cols.take(pa.array(cand.astype(np.int64), pa.int64()))
+    mini = Segment(num_docs=len(cand), table=table, schema=schema)
+    mini.text = {
+        fname: dataclasses.replace(
             ti,
             g_doc=np.searchsorted(cand, ti.g_doc).astype(np.int32),
             fieldnorm_ids=ti.fieldnorm_ids[cand],
-            has_value=ti.has_value[cand],
-        )
-    cols = batch.select(keep_columns) if keep_columns is not None else batch
-    table = cols.take(pa.array(cand.astype(np.int64), pa.int64()))
-    seg = Segment(num_docs=len(cand), table=table, schema=schema)
-    seg.text = mini
-    return seg, g
+            has_value=ti.has_value[cand])
+        for fname, ti in seg.text.items()}
+    return mini, g
 
 
 class QueryPacketBuilder:

@@ -46,9 +46,9 @@ import pyarrow as pa
 import ray
 
 from paradedb_ray.index.searcher import GlobalStats, Hits, Searcher
-from paradedb_ray.index.segment import Segment, build_segment
+from paradedb_ray.index.segment import Segment, build_segment, merge_segments
 from paradedb_ray.schema import IndexSchema
-from paradedb_ray.stages.search_stages import add_column_stats, rank_head
+from paradedb_ray.stages.search_stages import rank_head, segment_stats
 
 
 #: the one checkpoint layout ``restore`` reads: zstd segment payloads,
@@ -452,16 +452,10 @@ class Bm25PartitionStore:
                  for i, s in enumerate(self.sealed)]
         candidates = LayeredMergePolicy(layer_sizes).compute_merge_candidates(
             infos)
-        from paradedb_ray.index.segment import merge_segments
 
         def merge(victims):
-            # postings-list merge — never re-tokenizes (`merge_policy.rs`
-            # merges segments, not raw rows); superseded copies drop here
-            keeps = [self._visible_mask(s.table) for s in victims]
-            m = merge_segments(victims, self.schema, keeps)
-            m.uid = self._new_uid()
             self.metrics_["merges"] += 1
-            return m if m.num_docs else None
+            return self._rewrite(victims)
 
         merged_ids: set = set()
         new_segments = []
@@ -492,8 +486,6 @@ class Bm25PartitionStore:
         (None = everything into one segment).  Greedy first-fit over the
         size-sorted list; superseded copies vacuum away in the rewrite,
         exactly like ``merge_tick``'s merges."""
-        from paradedb_ray.index.segment import merge_segments
-
         if len(self.sealed) < 2:
             return 0
         bins: list = []
@@ -518,12 +510,10 @@ class Bm25PartitionStore:
             if len(group) < 2:
                 out.extend(group)
                 continue
-            keeps = [self._visible_mask(s.table) for s in group]
-            m = merge_segments(group, self.schema, keeps)
-            m.uid = self._new_uid()
+            m = self._rewrite(group)
             self.metrics_["merges"] += 1
             n_merged += len(group)
-            if m.num_docs:
+            if m is not None:
                 out.append(m)
         self.sealed = out
         return n_merged
@@ -531,8 +521,6 @@ class Bm25PartitionStore:
     def vacuum(self) -> int:
         """Rewrite every segment dropping superseded copies (exact stats);
         postings filter through the visibility mask — no re-tokenization."""
-        from paradedb_ray.index.segment import merge_segments
-
         if not self.n_dead:
             return 0
         self._freeze()
@@ -544,13 +532,22 @@ class Bm25PartitionStore:
                 new.append(s)
                 continue
             n += int((~keep).sum())
-            m = merge_segments([s], self.schema, [keep])
-            m.uid = self._new_uid()
-            if m.num_docs:
+            m = self._rewrite([s])
+            if m is not None:
                 new.append(m)
         self.sealed = new
         self.n_dead = 0
         return n
+
+    def _rewrite(self, segs: list) -> Optional[Segment]:
+        """One segment holding the live rows of ``segs`` (a new uid), or
+        None when none is live: a postings-list merge that never
+        re-tokenizes (`merge_policy.rs` merges segments, not raw rows);
+        superseded copies drop here."""
+        keeps = [self._visible_mask(s.table) for s in segs]
+        m = merge_segments(segs, self.schema, keeps)
+        m.uid = self._new_uid()
+        return m if m.num_docs else None
 
     def retract_keys(self, key_hashes: list, arrs: list) -> int:
         """Drop keys whose live copy migrated to another partition (a
@@ -611,36 +608,15 @@ class Bm25PartitionStore:
         return self.sealed + [self._mutable_seg]
 
     def stats_partial(self, requests_pickle: bytes) -> bytes:
-        """Partial GlobalStats for the driver's stats exchange barrier.
-
-        Text-field stats come from the postings; KEYWORD / numeric / JSON
-        fields are counted by ``search_stages.add_column_stats``, the same
-        helper the batch ``StatsCollector`` uses, so idf and avgdl — and
-        thus BM25 ranking — are identical across partitions and identical
-        to the stateless batch pipeline (ADVICE r1 #3)."""
+        """Partial GlobalStats for the driver's stats exchange barrier:
+        ``search_stages.segment_stats`` of each segment, merged — the
+        kernel the batch ``StatsCollector`` reads its partials with, so
+        idf and avgdl — and thus BM25 ranking — are identical across
+        partitions and identical to the stateless batch pipeline."""
         req = pickle.loads(requests_pickle)
         g = GlobalStats()
-        by_field: dict = {}
-        for f, t in req["terms"]:
-            by_field.setdefault(f.split(".")[0], []).append((f, t))
-        need_fields = req["fields"] | set(by_field)
         for seg in self._all_segments():
-            g.num_docs += seg.num_docs
-            for fname in need_fields:
-                ti = seg.text.get(fname)
-                if ti is not None:
-                    g.field_total_tokens[fname] = (
-                        g.field_total_tokens.get(fname, 0) + ti.total_tokens)
-                    g.field_doc_count[fname] = (
-                        g.field_doc_count.get(fname, 0) + ti.doc_count)
-                    for key in by_field.get(fname, ()):
-                        g.term_df[key] = (g.term_df.get(key, 0)
-                                          + ti.doc_freq(key[1]))
-                    continue
-                fdef = self.schema.fields.get(fname)
-                if fdef is None or fname not in seg.table.column_names:
-                    continue
-                add_column_stats(g, seg, fdef, fname, by_field.get(fname, ()))
+            g.merge(segment_stats(seg, self.schema, req))
         return pickle.dumps(g)
 
     def evaluate(self, specs_pickle: bytes, stats_pickle: bytes) -> list:

@@ -139,3 +139,40 @@ def test_segment_scorer_full_index_for_snippets(monkeypatch):
         mock_items_table())
     assert out.num_rows > 0
     assert seen == [None]
+
+
+@pytest.mark.parametrize("query, restricted", [
+    (ast.Match("description", "running shoes"), True),
+    (ast.FuzzyTerm("description", "shoez", 1, True, False), False),
+], ids=["match", "fuzzy"])
+def test_search_count_builds_query_term_index(ray_session, monkeypatch,
+                                              tmp_path, query, restricted):
+    """``search_count`` counts the full segment's rows; its block segments
+    index only the query's terms when the query is eligible."""
+    import ray.data
+
+    from paradedb_ray.index import segment
+    from paradedb_ray.pipelines.search import search_count
+
+    schema, table = mock_items_schema(), mock_items_table()
+    want = len(Searcher(build_segment(table, schema), schema).eval(query))
+    assert want > 0
+    # the blocks build on Ray workers: the spy logs to a file
+    log = tmp_path / "terms.log"
+    real = segment.build_segment
+
+    def spy(batch, schema, store_positions=True, terms=None):
+        with open(log, "a") as fh:
+            fh.write(repr(None if terms is None else
+                          {f: list(v) for f, v in terms.items()}) + "\n")
+        return real(batch, schema, store_positions=store_positions,
+                    terms=terms)
+
+    monkeypatch.setattr(segment, "build_segment", spy)
+    ds = ray.data.from_arrow([table.slice(0, 20), table.slice(20)])
+    assert search_count(ds, schema, query) == want
+    built = log.read_text().splitlines()
+    assert len(built) == 2
+    expect = ({"description": ["running", "shoes"]} if restricted
+              else None)
+    assert built == [repr(expect)] * 2

@@ -19,6 +19,7 @@ import ray.data
 
 from paradedb_ray.query import ast
 from paradedb_ray.schema import mock_items_schema
+from paradedb_ray.stages.blocks import collect_table
 from paradedb_ray.testing import mock_items_table
 
 sp = importlib.import_module("paradedb_ray.pipelines.search")
@@ -151,3 +152,61 @@ def test_stream_stats_partial_matches_stats_collector(ray_session):
         assert g.field_total_tokens == batch.field_total_tokens
         assert g.field_doc_count == batch.field_doc_count
         assert g.term_df == batch.term_df
+
+
+def _items_with_token_3() -> pa.Table:
+    t = mock_items_table()
+    ids = t.column("id").to_pylist()
+    desc = [f"{d} 3" if i % 5 == 0 else d
+            for i, d in zip(ids, t.column("description").to_pylist())]
+    cat = ["3" if i % 4 == 0 else c
+           for i, c in zip(ids, t.column("category").to_pylist())]
+    t = t.set_column(t.column_names.index("description"), "description",
+                     pa.array(desc, pa.string()))
+    return t.set_column(t.column_names.index("category"), "category",
+                        pa.array(cat, pa.string()))
+
+
+@pytest.mark.parametrize("query", [
+    ast.Term("description", 3),
+    ast.Boolean(should=[ast.Term("description", 3),
+                        ast.Term("description", "shoes")]),
+    ast.MatchArray("description", [3, "shoes"]),
+    ast.Boolean(should=[ast.Term("category", 3),
+                        ast.Term("description", "shoes")]),
+], ids=["term", "boolean", "match_array", "keyword"])
+def test_term_literal_reads_global_df(ray_session, query):
+    """A TEXT / KEYWORD Term or MatchArray literal is looked up as its
+    string, so its stat request is keyed by that string: batch top-k with
+    distributed stats (two-pass and single-scan routes) and the streaming
+    engine give the whole-corpus ``Searcher``'s ids and f32 scores."""
+    from paradedb_ray.index.searcher import Searcher
+    from paradedb_ray.index.segment import build_segment
+    from paradedb_ray.streaming.engine import StreamConfig, StreamEngine
+
+    schema = mock_items_schema()
+    table = _items_with_token_3()
+    hits = Searcher(build_segment(table, schema), schema).eval(query)
+    ids = table.column("id").to_numpy()
+    want = dict(zip(ids[hits.ids].tolist(),
+                    np.asarray(hits.scores, np.float32).tolist()))
+    assert len(want) > 1
+
+    def got(t: pa.Table) -> dict:
+        return dict(zip(t.column("id").to_pylist(), np.asarray(
+            t.column("score").to_numpy(), np.float32).tolist()))
+
+    ds = ray.data.from_arrow(table).repartition(3)
+    for cols in (None, ["id", "score"]):
+        out = sp.search_topk(ds, schema, query, limit=table.num_rows,
+                             output_columns=cols)
+        assert got(collect_table(out)) == want, cols
+    eng = StreamEngine(schema, StreamConfig(
+        num_partitions=2, mutable_rows=8, key_cols=("id", "id"),
+        ts_col="created_at"))
+    try:
+        eng.ingest(table)
+        assert got(eng.query_topk(query, k=table.num_rows,
+                                  columns=["id", "score"])) == want
+    finally:
+        eng.shutdown()

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "/root/repo")
+# this checkout's package and __ray_entry__, whoever loads the tool
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 
 def to_pandas(obj):
