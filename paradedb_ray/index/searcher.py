@@ -91,13 +91,16 @@ def _mask_to_hits(mask: np.ndarray, score: float = 1.0) -> Hits:
     return Hits.const(np.flatnonzero(mask), score)
 
 
-def _sum_into(base: Hits, other: Hits) -> None:
-    """Add other's scores to base where ids overlap (base ids superset-agnostic)."""
-    idx = np.searchsorted(other.ids, base.ids)
-    idx_c = np.clip(idx, 0, max(len(other.ids) - 1, 0))
-    if len(other.ids):
-        hit = other.ids[idx_c] == base.ids
-        base.scores[hit] += other.scores[idx_c[hit]]
+def _member(ids: np.ndarray, other: np.ndarray) -> tuple:
+    """``(mask, pos)``: ``mask[i]`` is whether ``ids[i]`` is in ``other``,
+    found at ``other[pos[i]]``.  Both arrays sorted and unique (every
+    ``Hits.ids`` is), so membership is one ``searchsorted``, never the
+    sort ``np.isin`` makes of both inputs."""
+    pos = np.searchsorted(other, ids)
+    if not len(other):
+        return np.zeros(len(ids), dtype=bool), pos
+    pos = np.minimum(pos, len(other) - 1)
+    return other[pos] == ids, pos
 
 
 @dataclass
@@ -632,48 +635,48 @@ class Searcher:
         if not q.must and not q.should:
             return Hits.empty()
 
+        # clause scores add in clause order (must, then should), so the
+        # f32 sums never depend on how membership is found
         if must:
             ids = must[0].ids
             for h in must[1:]:
-                ids = ids[np.isin(ids, h.ids, assume_unique=True)]
+                ids = ids[_member(ids, h.ids)[0]]
             if len(ids) == 0:
                 return Hits.empty()
             scores = np.zeros(len(ids), dtype=np.float32)
-            base = Hits(ids, scores)
             for h in must:
-                _sum_into(base, h)
-            msm = q.minimum_should_match
+                scores += h.scores[_member(ids, h.ids)[1]]
             if should:
+                found = [_member(ids, h.ids) for h in should]
+                msm = q.minimum_should_match
                 if msm:
-                    cnt = np.zeros(len(ids), dtype=np.int32)
-                    for h in should:
-                        cnt += np.isin(ids, h.ids, assume_unique=True)
-                    keep = cnt >= msm
-                    base = Hits(ids[keep], base.scores[keep])
-                for h in should:
-                    _sum_into(base, h)
+                    keep = sum(m.astype(np.int32) for m, _ in found) >= msm
+                    ids, scores = ids[keep], scores[keep]
+                    found = [(m[keep], pos[keep]) for m, pos in found]
+                for h, (m, pos) in zip(should, found):
+                    scores[m] += h.scores[pos[m]]
         else:
             if not any(len(h) for h in should):
                 return Hits.empty()
             ids = np.unique(np.concatenate([h.ids for h in should if len(h)]))
             scores = np.zeros(len(ids), dtype=np.float32)
-            base = Hits(ids, scores)
             cnt = np.zeros(len(ids), dtype=np.int32)
             for h in should:
-                _sum_into(base, h)
-                cnt += np.isin(ids, h.ids, assume_unique=True)
+                pos = np.searchsorted(ids, h.ids)
+                scores[pos] += h.scores
+                cnt[pos] += 1
             msm = q.minimum_should_match
             if msm is None:
                 msm = 1
             keep = cnt >= msm
-            base = Hits(ids[keep], base.scores[keep])
+            ids, scores = ids[keep], scores[keep]
 
         for c in q.must_not:
             h = self.eval(c, 1.0)
             if len(h):
-                keep = ~np.isin(base.ids, h.ids, assume_unique=True)
-                base = Hits(base.ids[keep], base.scores[keep])
-        return base
+                keep = ~_member(ids, h.ids)[0]
+                ids, scores = ids[keep], scores[keep]
+        return Hits(ids, scores)
 
     def _eval_Boost(self, q: ast.Boost, boost):
         return self.eval(q.query, boost * q.factor)
@@ -805,27 +808,20 @@ class Searcher:
         codes = [ti.term_code(t) for t in tokens]
         if any(c < 0 for c in codes):
             return Hits.empty()
-        # candidate docs = intersection of posting doc lists
-        doc_sets = [ti.postings(c)[0] for c in codes]
-        cand = doc_sets[0]
-        for d in doc_sets[1:]:
-            cand = cand[np.isin(cand, d, assume_unique=True)]
-        if len(cand) == 0:
+        # a segment never changes, so its phrase matches are found once
+        # and cached with it: standing phrase queries over persistent
+        # streaming segments match positions once, not per epoch
+        key = ("_phrase", field, tuple(codes), slop)
+        got = self.seg._json_cache.get(key)
+        if got is None:
+            got = _phrase_tfs(ti, codes, slop)
+            for a in got:
+                if a is not None:  # hits share them: never written to
+                    a.flags.writeable = False
+            self.seg._json_cache[key] = got
+        docs, tfs = got
+        if docs is None:
             return Hits.empty()
-        if slop == 0:
-            # exact adjacency, fully vectorized across candidates: one
-            # (doc_rank, position - slot) key stream per slot, folded by
-            # set intersection — no per-doc Python loop
-            docs, tfs = _exact_phrase_tfs(
-                ti, cand, [[c] for c in codes])
-            if docs is None:
-                return Hits.empty()
-        else:
-            # Lucene-style spread window, vectorized across candidates
-            docs, tfs = _sloppy_phrase_tfs(
-                ti, cand, [[c] for c in codes], slop)
-            if docs is None:
-                return Hits.empty()
         # phrase idf = sum of constituent term idfs (Lucene/tantivy for_terms)
         idf = _F32(0.0)
         for t in tokens:
@@ -906,8 +902,7 @@ class Searcher:
             docs = np.unique(np.concatenate(
                 [ti.postings(c)[0] for c in codes]))
             slot_docs.append(docs)
-            cand = docs if cand is None else cand[
-                np.isin(cand, docs, assume_unique=True)]
+            cand = docs if cand is None else cand[_member(cand, docs)[0]]
         if cand is None or len(cand) == 0:
             return Hits.empty()
         if q.slop == 0:
@@ -1269,6 +1264,24 @@ def _slot_keys(ti, cand: np.ndarray, codes, slot_idx: int,
     if not parts:
         return np.empty(0, dtype=np.int64)
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _phrase_tfs(ti, codes: list, slop: int):
+    """(docs int64, tfs int32) of the phrase of vocab ``codes`` with
+    ``slop``, or (None, None) when nothing matches."""
+    # candidate docs = intersection of posting doc lists
+    cand = ti.postings(codes[0])[0]
+    for c in codes[1:]:
+        cand = cand[_member(cand, ti.postings(c)[0])[0]]
+    if len(cand) == 0:
+        return None, None
+    if slop == 0:
+        # exact adjacency, fully vectorized across candidates: one
+        # (doc_rank, position - slot) key stream per slot, folded by
+        # set intersection — no per-doc Python loop
+        return _exact_phrase_tfs(ti, cand, [[c] for c in codes])
+    # Lucene-style spread window, vectorized across candidates
+    return _sloppy_phrase_tfs(ti, cand, [[c] for c in codes], slop)
 
 
 def _exact_phrase_tfs(ti, cand: np.ndarray, slot_codes):

@@ -29,6 +29,8 @@ The Ray-native re-imagining of pg_search's index as a CEP pipeline
   results land in ``sink_dir/<query>/epoch=K/part.parquet`` written
   atomically; a re-run (or restart after crash) skips epochs whose sink
   files already exist and replays the source from the recorded offset.
+  An epoch is five rounds of actor calls (ingest, ``seal``, evaluate,
+  ``settle``, checkpoint); the checkpoint follows the commit marker.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import time
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -104,6 +107,72 @@ class StreamConfig:
     gate: object = None
 
 
+def _route_batch(batch: pa.Table, num_partitions: int, salt_k: int,
+                 key_cols: tuple, hot, epoch: int, gate=None) -> list:
+    """The partition-store calls that route one ``__arr``-stamped batch,
+    as ``(partition, method, args)`` in send order.  Pure: it calls no
+    store, so the engine's routers and an in-process replay route alike.
+
+    A row's home partition is its conversation hash; a row of a hot
+    conversation goes to its salted partition (hash + ``turn % salt_k``
+    stride) instead, and its stale pre-hot copy is retracted at home."""
+    calls = []
+    conv = batch.column(key_cols[0]).to_numpy(zero_copy_only=False)
+    turn = batch.column(key_cols[1]).to_numpy(zero_copy_only=False)
+    arr = batch.column("__arr").to_numpy(zero_copy_only=False)
+    h = _stable_hash_strings(conv)
+    base = (h % np.uint64(num_partitions)).astype(np.int64)
+    if gate is not None:
+        gm = np.asarray(gate(batch), dtype=bool)
+        if not gm.all():
+            # rows outside the partial-index gate: retract their keys
+            # (an upsert leaving the gate deletes; fresh keys no-op) at
+            # both candidate partitions (salted + home), then drop
+            # them.  The retraction carries the row's __arr stamp so
+            # it arbitrates EXACTLY like an ingest: it never kills a
+            # NEWER live copy (replay of a stale out-of-gate row is a
+            # no-op) and always kills an older-or-equal one.
+            out = ~gm
+            kh = _key_hash(conv[out], turn[out])
+            oarr = arr[out]
+            ob = base[out]
+            osalt = ((h[out].astype(np.int64)
+                      + (turn[out].astype(np.int64) % salt_k)
+                      * np.int64(2654435761)) % num_partitions)
+            for p_ in np.unique(np.concatenate([ob, osalt])):
+                sel = (ob == p_) | (osalt == p_)
+                calls.append((p_, "retract_keys",
+                              (kh[sel].tolist(), oarr[sel].tolist())))
+            batch = batch.filter(pa.array(gm))
+            conv, turn = conv[gm], turn[gm]
+            h, base, arr = h[gm], base[gm], arr[gm]
+            if batch.num_rows == 0:
+                return calls
+    part = base.copy()
+    if hot:
+        hm = np.fromiter((c in hot for c in conv), dtype=bool,
+                         count=len(conv))
+        if hm.any():
+            salt = turn.astype(np.int64) % salt_k
+            part[hm] = ((h[hm].astype(np.int64)
+                         + salt[hm] * np.int64(2654435761))
+                        % num_partitions)
+    # a salted key's stale pre-hot copy may live in the home
+    # partition: retract it there (no-op when absent)
+    moved = part != base
+    if moved.any():
+        kh = _key_hash(conv[moved], turn[moved])
+        marr = arr[moved]
+        for b in np.unique(base[moved]):
+            sel = base[moved] == b
+            calls.append((b, "retract_keys",
+                          (kh[sel].tolist(), marr[sel].tolist())))
+    for p in np.unique(part):
+        calls.append((p, "ingest", (batch.filter(pa.array(part == p)),
+                                    epoch)))
+    return calls
+
+
 def _route_table(table: pa.Table, arr_base: int, actors: list,
                  num_partitions: int, salt_k: int, key_cols: tuple,
                  hot, epoch: int, batch_rows: int,
@@ -131,60 +200,9 @@ def _route_table(table: pa.Table, arr_base: int, actors: list,
             "__arr", pa.array(np.arange(arr_base + off,
                                         arr_base + off + batch.num_rows),
                               pa.int64()))
-        conv = batch.column(key_cols[0]).to_numpy(zero_copy_only=False)
-        turn = batch.column(key_cols[1]).to_numpy(zero_copy_only=False)
-        arr = batch.column("__arr").to_numpy(zero_copy_only=False)
-        h = _stable_hash_strings(conv)
-        base = (h % np.uint64(num_partitions)).astype(np.int64)
-        if gate is not None:
-            gm = np.asarray(gate(batch), dtype=bool)
-            if not gm.all():
-                # rows outside the partial-index gate: retract their keys
-                # (an upsert leaving the gate deletes; fresh keys no-op) at
-                # both candidate partitions (salted + home), then drop
-                # them.  The retraction carries the row's __arr stamp so
-                # it arbitrates EXACTLY like an ingest: it never kills a
-                # NEWER live copy (replay of a stale out-of-gate row is a
-                # no-op) and always kills an older-or-equal one.
-                out = ~gm
-                kh = _key_hash(conv[out], turn[out])
-                oarr = arr[out]
-                ob = base[out]
-                osalt = ((h[out].astype(np.int64)
-                          + (turn[out].astype(np.int64) % salt_k)
-                          * np.int64(2654435761)) % num_partitions)
-                for p_ in np.unique(np.concatenate([ob, osalt])):
-                    sel = (ob == p_) | (osalt == p_)
-                    pend.append(actors[p_].retract_keys.remote(
-                        kh[sel].tolist(), oarr[sel].tolist()))
-                batch = batch.filter(pa.array(gm))
-                conv, turn = conv[gm], turn[gm]
-                h, base, arr = h[gm], base[gm], arr[gm]
-                if batch.num_rows == 0:
-                    drain(max_inflight)
-                    continue
-        part = base.copy()
-        if hot:
-            hm = np.fromiter((c in hot for c in conv), dtype=bool,
-                             count=len(conv))
-            if hm.any():
-                salt = turn.astype(np.int64) % salt_k
-                part[hm] = ((h[hm].astype(np.int64)
-                             + salt[hm] * np.int64(2654435761))
-                            % num_partitions)
-        # a salted key's stale pre-hot copy may live in the home
-        # partition: retract it there (no-op when absent)
-        moved = part != base
-        if moved.any():
-            kh = _key_hash(conv[moved], turn[moved])
-            marr = arr[moved]
-            for b in np.unique(base[moved]):
-                sel = base[moved] == b
-                pend.append(actors[b].retract_keys.remote(
-                    kh[sel].tolist(), marr[sel].tolist()))
-        for p in np.unique(part):
-            sub = batch.filter(pa.array(part == p))
-            pend.append(actors[p].ingest.remote(sub, epoch))
+        for p, method, args in _route_batch(batch, num_partitions, salt_k,
+                                            key_cols, hot, epoch, gate):
+            pend.append(getattr(actors[p], method).remote(*args))
         drain(max_inflight)
     drain(0)
     return total
@@ -223,6 +241,35 @@ _ROUTE_BATCH_ROWS = 16_384
 #: ``ingest``'s in-process router: batches in flight before it waits
 #: for acks
 _INGEST_MAX_INFLIGHT = 4
+
+
+def _sessions_table(closed: list) -> pa.Table:
+    """The closed-session rows of every partition as one table."""
+    rows = [r for part in closed for r in part]
+    return pa.table({
+        "conv_id": pa.array([r["conv_id"] for r in rows], pa.string()),
+        "session_start": pa.array([r["session_start"] for r in rows],
+                                  pa.int64()),
+        "session_end": pa.array([r["session_end"] for r in rows],
+                                pa.int64()),
+        "n_turns": pa.array([r["n_turns"] for r in rows], pa.int64()),
+        "epoch": pa.array([r["epoch"] for r in rows], pa.int64()),
+    })
+
+
+def _dead_letters_table(got: list) -> Optional[pa.Table]:
+    """Union of the partitions' drained dead letters; None when none."""
+    parts = [t for t in got if t is not None]
+    if not parts:
+        return None
+    return pa.concat_tables(parts, promote_options="default")
+
+
+def _merged_stats(partials: list) -> GlobalStats:
+    g = GlobalStats()
+    for p in partials:
+        g.merge(pickle.loads(p))
+    return g
 
 
 class StreamEngine:
@@ -354,33 +401,36 @@ class StreamEngine:
         """Advance the watermark everywhere; returns closed-session rows."""
         if epoch is None:
             epoch = self.epoch
-        closed = ray.get([a.advance_watermark.remote(wm_us, epoch)
-                          for a in self.actors])
-        rows = [r for part in closed for r in part]
-        if not rows:
-            return pa.table({"conv_id": pa.array([], pa.string()),
-                             "session_start": pa.array([], pa.int64()),
-                             "session_end": pa.array([], pa.int64()),
-                             "n_turns": pa.array([], pa.int64()),
-                             "epoch": pa.array([], pa.int64())})
-        return pa.table({
-            "conv_id": pa.array([r["conv_id"] for r in rows], pa.string()),
-            "session_start": pa.array([r["session_start"] for r in rows],
-                                      pa.int64()),
-            "session_end": pa.array([r["session_end"] for r in rows],
-                                    pa.int64()),
-            "n_turns": pa.array([r["n_turns"] for r in rows], pa.int64()),
-            "epoch": pa.array([r["epoch"] for r in rows], pa.int64()),
-        })
+        return _sessions_table(ray.get(
+            [a.advance_watermark.remote(wm_us, epoch) for a in self.actors]))
 
     def drain_dead_letters(self) -> Optional[pa.Table]:
         """Union of every partition's buffered too-late rows (side
         output), cleared on read; None when nothing was dropped."""
-        got = ray.get([a.drain_dead_letters.remote() for a in self.actors])
-        parts = [t for t in got if t is not None]
-        if not parts:
-            return None
-        return pa.concat_tables(parts, promote_options="default")
+        return _dead_letters_table(ray.get(
+            [a.drain_dead_letters.remote() for a in self.actors]))
+
+    def seal(self, wm_us: int, epoch: Optional[int] = None,
+             queries: tuple = ()) -> tuple:
+        """An epoch's seal in ONE round of actor calls: every partition
+        drains its dead letters, advances its watermark and, when
+        ``queries`` are given, returns its stats partial over their
+        stat requests.  Returns ``(drain_dead_letters(),
+        advance_watermark(wm_us, epoch), global_stats(*queries) or
+        None)`` — each equal to what the separate calls return."""
+        if epoch is None:
+            epoch = self.epoch
+        rp = self._stat_requests(queries) if queries else None
+        got = ray.get([a.seal.remote(wm_us, epoch, rp) for a in self.actors])
+        stats = _merged_stats([g[2] for g in got]) if queries else None
+        return (_dead_letters_table([g[0] for g in got]),
+                _sessions_table([g[1] for g in got]), stats)
+
+    def settle(self) -> tuple:
+        """``(merge_tick(), metrics())`` in one round of actor calls."""
+        got = ray.get([a.settle.remote(self.cfg.merge_max_segments)
+                       for a in self.actors])
+        return sum(n for n, _ in got), [m for _, m in got]
 
     def merge_tick(self):
         return sum(ray.get([a.merge_tick.remote(self.cfg.merge_max_segments)
@@ -398,18 +448,22 @@ class StreamEngine:
 
     # -- query --------------------------------------------------------------
 
+    def _stat_requests(self, queries) -> bytes:
+        return pickle.dumps(merge_stat_requests(
+            [collect_stat_requests(q, self.schema) for q in queries]))
+
     def global_stats(self, *queries: ast.Query) -> GlobalStats:
         """The cross-partition stats exchange (barrier reduce of tiny
         partials) over the union of the queries' stat requests.  BM25
         stays exact for each query: the stats are keyed per field and per
         (field, term), so extra entries never change a lookup."""
-        rp = pickle.dumps(merge_stat_requests(
-            [collect_stat_requests(q, self.schema) for q in queries]))
-        partials = ray.get([a.stats_partial.remote(rp) for a in self.actors])
-        g = GlobalStats()
-        for p in partials:
-            g.merge(pickle.loads(p))
-        return g
+        rp = self._stat_requests(queries)
+        return _merged_stats(ray.get([a.stats_partial.remote(rp)
+                                      for a in self.actors]))
+
+    def bind_specs(self, specs: list) -> list:
+        """``specs`` with each query bound (``query/parser.py::bind``)."""
+        return [replace(s, query=bind(s.query, self.schema)) for s in specs]
 
     def evaluate(self, specs: list) -> list:
         """Answer every :class:`EvalSpec` in two rounds of actor calls,
@@ -419,8 +473,14 @@ class StreamEngine:
         ``k``), or for a facet the terms table (count desc then value
         asc, pg_search facet semantics, `aggregate/mod.rs` terms agg).
         Each spec's query is bound here, once: the actors never parse."""
-        specs = [replace(s, query=bind(s.query, self.schema)) for s in specs]
-        stats = self.global_stats(*[s.query for s in specs])
+        specs = self.bind_specs(specs)
+        return self.evaluate_bound(
+            specs, self.global_stats(*[s.query for s in specs]))
+
+    def evaluate_bound(self, specs: list, stats: GlobalStats) -> list:
+        """``evaluate``'s second round alone: bound ``specs`` scored under
+        ``stats`` (from ``global_stats`` or ``seal`` over their queries)
+        in ONE ``evaluate`` call per partition actor, then merge-ranked."""
         sp, stp = pickle.dumps(specs), pickle.dumps(stats)
         per_actor = ray.get([a.evaluate.remote(sp, stp)
                              for a in self.actors])
@@ -692,19 +752,33 @@ def _session_shard_of(conv_ids: "pa.ChunkedArray") -> "np.ndarray":
 def _latest_sessions_view(t: pa.Table,
                           drop_tombstones: bool = True) -> pa.Table:
     """Latest emission per (conv_id, session_start) identity, ordered by
-    epoch; tombstones (n_turns=0) optionally dropped.  The ONE fold
+    identity; tombstones (n_turns=0) optionally dropped.  A stable sort on
+    (conv_id, session_start, epoch) puts each identity's rows together,
+    its latest epoch last and, within one epoch, the rows in input order,
+    so the last row of each run of equal identities wins.  The ONE fold
     kernel shared by the driver-side ``read_sessions`` and the per-shard
     read and fold tasks — parity by construction."""
-    import pandas as pd  # noqa: F401
+    import pyarrow.compute as pc
 
-    df = t.to_pandas().sort_values(["conv_id", "session_start", "epoch"],
-                                   kind="stable")
-    df = df.drop_duplicates(subset=["conv_id", "session_start"],
-                            keep="last")
+    t = t.take(pc.sort_indices(t, sort_keys=[("conv_id", "ascending"),
+                                             ("session_start", "ascending"),
+                                             ("epoch", "ascending")]))
+    n = t.num_rows
+    if n:
+        # last[i]: row i's identity differs from row i + 1's
+        last = np.ones(n, dtype=bool)
+        last[:-1] = False
+        for name in ("conv_id", "session_start"):
+            col = t.column(name)
+            a, b = col.slice(0, n - 1), col.slice(1)
+            # null-safe: two nulls are one identity
+            differ = pc.or_(pc.fill_null(pc.not_equal(a, b), False),
+                            pc.xor(pc.is_null(a), pc.is_null(b)))
+            last[:-1] |= differ.to_numpy(zero_copy_only=False)
+        t = t.filter(pa.array(last))
     if drop_tombstones:
-        df = df[df["n_turns"] > 0]
-    return pa.Table.from_pandas(df.reset_index(drop=True),
-                                preserve_index=False)
+        t = t.filter(pc.greater(t.column("n_turns"), 0))
+    return t
 
 
 def _shard_view(shard_path, rows, drop_tombstones: bool) -> pa.Table:
@@ -749,17 +823,27 @@ class EpochRunner:
     idempotent, exactly-once parquet sink.
 
     Source = any ray Dataset / Arrow table already split into epoch tables
-    (micro-batches in arrival order).  Per epoch:
+    (micro-batches in arrival order).  An epoch is five rounds of
+    partition-actor calls, whatever its query count:
 
-        ingest -> advance watermark (max ts seen - lateness)
-               -> standing queries emit top-k to sink/<q>/epoch=K.parquet
-               -> closed sessions emit to sink/sessions/epoch=K.parquet
-               -> checkpoint
+        ingest   -> route the epoch's rows to the partition actors
+        seal     -> drain dead letters, advance the watermark (max ts seen
+                    - lateness, closing sessions) and take the stats
+                    partials of every standing query and facet
+        evaluate -> score them all under those stats
+                    (sink: dead letters, closed sessions, patterns, each
+                    query's top-k and each facet, one file per epoch)
+        settle   -> merge tick + per-partition metrics
+                    (sessions compaction, metrics/epoch=K.json, commit
+                    marker)
+        checkpoint
 
     A finished epoch is recognised by its ``_COMMIT`` marker; re-running
-    skips it (exactly-once under restart).  ``resume()`` restores engine
-    state from the checkpoint and continues from the first uncommitted
-    epoch.
+    skips it (exactly-once under restart).  The checkpoint is written only
+    after the marker, so a crash before the marker leaves the engine state
+    at the previous checkpoint and the epoch replays in full.
+    ``resume()`` restores engine state from the checkpoint and continues
+    from the first uncommitted epoch.
     """
 
     def __init__(self, engine: StreamEngine, sink_dir: str,
@@ -832,52 +916,65 @@ class EpochRunner:
 
     def run_epoch(self, epoch: int, table: pa.Table) -> dict:
         self._apply_query_stream(epoch)  # deterministic: replayed on resume
+        eng = self.engine
+        tick = epoch % self.checkpoint_every == 0 and bool(eng.checkpoint_dir)
         if self.epoch_done(epoch):
             if epoch > self._state_epoch:
                 # committed but newer than the engine state (crash landed
                 # between the commit marker and the next checkpoint):
                 # replay ingest + watermark so later epochs see these rows;
                 # the epoch's own emissions are immutable history — no sink
-                # writes (ADVICE r1 #2)
-                eng = self.engine
+                # writes, and the dead letters are discarded (ADVICE r1 #2)
                 eng.epoch = epoch
                 info = eng.ingest(table, epoch=epoch)
-                eng.drain_dead_letters()  # discard: emissions are history
-                eng.advance_watermark(self._watermark_for(table), epoch=epoch)
+                eng.seal(self._watermark_for(table), epoch)
                 eng.merge_tick()
-                if epoch % self.checkpoint_every == 0 and eng.checkpoint_dir:
+                if tick:
                     eng.checkpoint(epoch)
                 self._state_epoch = epoch
                 return {"epoch": epoch, "skipped": True, "replayed": True,
                         "rows": info["rows"]}
             return {"epoch": epoch, "skipped": True}
-        eng = self.engine
         eng.epoch = epoch
+        phase_ms = {}
+        t0 = time.perf_counter()
+
+        def lap(name):
+            nonlocal t0
+            t = time.perf_counter()
+            phase_ms[name] = round(1e3 * (t - t0), 3)
+            t0 = t
+
         info = eng.ingest(table, epoch=epoch)
+        lap("ingest")
+        # every standing query and facet of the epoch: their stats come
+        # with the seal, then one evaluate call per partition actor,
+        # whatever their count
+        specs = [EvalSpec(q, self.topk, columns=self.columns,
+                          snippet_cfg=self.snippet_cfg)
+                 for q in self.standing.values()]
+        specs += [EvalSpec(fq, facet_field=ffield)
+                  for fq, ffield in self.facets.values()]
+        specs = eng.bind_specs(specs)
+        wm = self._watermark_for(table)
+        dead, sessions, stats = eng.seal(wm, epoch,
+                                         [s.query for s in specs])
+        lap("seal")
+        results = eng.evaluate_bound(specs, stats) if specs else []
+        lap("evaluate")
         # dead-letter side output: rows beyond the lateness horizon are
         # recoverable from the sink instead of silently dropped — one file
         # per epoch, so a crash-replay rewrites the same path (idempotent)
-        dead = eng.drain_dead_letters()
         if dead is not None and dead.num_rows:
             _write_atomic_parquet(
                 dead, os.path.join(self.sink_dir, "dead_letter",
                                    f"epoch={epoch:06d}.parquet"))
-        wm = self._watermark_for(table)
-        sessions = eng.advance_watermark(wm, epoch=epoch)
         if sessions.num_rows:
             _write_atomic_parquet(
                 sessions, os.path.join(self.sink_dir, "sessions",
                                        f"epoch={epoch:06d}.parquet"))
         if self.patterns:
             self._emit_patterns(epoch, sessions, table.schema)
-        # every standing query and facet of the epoch: one stats exchange
-        # and one evaluate call per partition actor, whatever their count
-        specs = [EvalSpec(q, self.topk, columns=self.columns,
-                          snippet_cfg=self.snippet_cfg)
-                 for q in self.standing.values()]
-        specs += [EvalSpec(fq, facet_field=ffield)
-                  for fq, ffield in self.facets.values()]
-        results = eng.evaluate(specs) if specs else []
         n_standing = len(self.standing)
         for name, res in zip(self.standing, results[:n_standing]):
             if res.num_rows == 0:
@@ -896,26 +993,34 @@ class EpochRunner:
             _write_atomic_parquet(
                 ft, os.path.join(self.sink_dir, "facets", name,
                                  f"epoch={epoch:06d}.parquet"))
-        eng.merge_tick()
-        tick = epoch % self.checkpoint_every == 0 and bool(eng.checkpoint_dir)
-        if tick:
-            eng.checkpoint(epoch)
+        lap("sink")
+        _, partitions = eng.settle()
+        lap("settle")
         fold = self._compact_sessions(tick)
+        lap("compaction")
         # per-partition metrics lineage (ingested/late/retracted/reopened,
-        # segment + watermark state) — one JSON per epoch
+        # segment + watermark state) and the epoch's phase timings — one
+        # JSON per epoch
         mdir = os.path.join(self.sink_dir, "metrics")
         os.makedirs(mdir, exist_ok=True)
         mtmp = os.path.join(mdir, f"epoch={epoch:06d}.json.tmp")
         with open(mtmp, "w") as f:
             json.dump({"epoch": epoch, "watermark": wm,
                        "live_queries": sorted(self.standing),
-                       "partitions": eng.metrics(), **fold}, f)
+                       "partitions": partitions, **fold,
+                       "phase_ms": phase_ms}, f)
         os.replace(mtmp, os.path.join(mdir, f"epoch={epoch:06d}.json"))
-        # commit marker LAST: the epoch is replayed in full on crash before
-        # this point, and every write above is idempotent (same path, same
-        # deterministic content) -> effectively exactly-once.
+        # commit marker after every sink write: the epoch is replayed in
+        # full on a crash before this point, and every write above is
+        # idempotent (same path, same deterministic content but for the
+        # metrics' phase timings) -> effectively exactly-once.  The
+        # checkpoint comes AFTER it: a
+        # crash in between leaves a committed epoch newer than the
+        # checkpoint, which the next run re-ingests without emitting.
         with open(self._commit_marker(epoch), "w") as f:
             f.write(json.dumps({"rows": info["rows"]}))
+        if tick:
+            eng.checkpoint(epoch)
         self._state_epoch = epoch
         return {"epoch": epoch, "rows": info["rows"], "watermark": wm}
 

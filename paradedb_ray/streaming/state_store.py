@@ -107,6 +107,35 @@ class EvalSpec:
     facet_field: Optional[str] = None
 
 
+def _live_top(scores: np.ndarray, live_of, k: int) -> np.ndarray:
+    """Mask of the live hits one segment gives a top-k: every live hit
+    scoring at or above the lowest band looked at, where hits are looked
+    at in descending score bands, ties always whole, until k of them are
+    live or none is left.  The first band is the k best; each next one
+    is the best of the rest, as many as are still missing and at least
+    twice the extra band before it — so ``live_of`` (positions -> live
+    mask) sees about k hits plus a few per dead one among the best, not
+    every hit.  Bands are cut with ``np.partition``, not a sort."""
+    keep = np.zeros(len(scores), dtype=bool)
+    rest = np.arange(len(scores))
+    want, step, found = k, 0, 0
+    while len(rest):
+        if want < len(rest):
+            sub = scores[rest]
+            v = np.partition(sub, len(sub) - want)[len(sub) - want]
+            band = sub >= v
+            top, rest = rest[band], rest[~band]
+        else:
+            top, rest = rest, rest[:0]
+        alive = live_of(top)
+        keep[top[alive]] = True
+        found += int(alive.sum())
+        if found >= k:
+            break
+        want = step = max(k - found, 2 * step)
+    return keep
+
+
 @ray.remote
 class Bm25PartitionStore:
     def __init__(self, part_id: int, schema_pickle: bytes,
@@ -619,6 +648,22 @@ class Bm25PartitionStore:
             g.merge(segment_stats(seg, self.schema, req))
         return pickle.dumps(g)
 
+    def seal(self, wm_us: int, epoch: int,
+             requests_pickle: Optional[bytes] = None) -> tuple:
+        """An epoch's seal in one actor call: ``drain_dead_letters``,
+        ``advance_watermark`` and, when the epoch has stat requests,
+        ``stats_partial`` of the sealed state.  Returns ``(dead letters
+        or None, closed-session rows, stats partial or None)``."""
+        dead = self.drain_dead_letters()
+        closed = self.advance_watermark(wm_us, epoch)
+        return dead, closed, (None if requests_pickle is None
+                              else self.stats_partial(requests_pickle))
+
+    def settle(self, max_segments: int = 8) -> tuple:
+        """An epoch's last state change and its report in one actor call:
+        ``(merge_tick(max_segments), metrics())``."""
+        return self.merge_tick(max_segments), self.metrics()
+
     def evaluate(self, specs_pickle: bytes, stats_pickle: bytes) -> list:
         """Score every :class:`EvalSpec` of one evaluation round against
         this partition: one segment list, one ``Searcher`` per segment
@@ -664,13 +709,40 @@ class Bm25PartitionStore:
 
         A scored top-k keeps a partition-local k-th-best threshold over
         LIVE hits only: a superseded copy never raises it, so it never
-        prunes a live row.  Hits strictly below it never materialize
-        (ties are kept for the key-ordered tie-break)."""
+        prunes a live row.  It costs selections, never a sort of a
+        segment's hits: per segment, the hits at or above the running
+        threshold go through :func:`_live_top`, which looks liveness up
+        for about k of them plus the dead ones among the best.  Rows
+        materialize (take, score, snippet) only after the last segment,
+        and only those >= the final k-th best (ties are kept for the
+        key-ordered tie-break)."""
         k = spec.k
         prune = bool(k) and spec.with_score
         kth = np.float32(-np.inf)
-        best = np.empty(0, dtype=np.float32)  # k best live scores so far
-        if spec.snippet_cfg is not None:
+        best = np.empty(0, dtype=np.float32)  # the k best live scores
+        picked = []  # (segment index, live ids, their scores)
+        for i, s in enumerate(searchers):
+            hits = s.eval(spec.query)
+            if len(hits) == 0:
+                continue
+            ids = np.asarray(hits.ids, dtype=np.int64)
+            scores = np.asarray(hits.scores, dtype=np.float32)
+            if prune:
+                reach = scores >= kth
+                ids, scores = ids[reach], scores[reach]
+                live = _live_top(scores, lambda j: visible(i, ids[j]), k)
+            else:
+                live = visible(i, ids)
+            ids, scores = ids[live], scores[live]
+            if not len(ids):
+                continue
+            picked.append((i, ids, scores))
+            if prune:
+                best = np.concatenate([best, scores])
+                if len(best) >= k:
+                    best = np.partition(best, len(best) - k)[-k:]
+                    kth = best.min()
+        if spec.snippet_cfg is not None and picked:
             from paradedb_ray.index.snippet import (
                 query_terms_for_field,
                 snippet_column,
@@ -679,35 +751,13 @@ class Bm25PartitionStore:
             snip_terms = query_terms_for_field(spec.query, self.schema,
                                                spec.snippet_cfg.field)
         parts = []
-        for i, s in enumerate(searchers):
-            hits = s.eval(spec.query)
-            if len(hits) == 0:
-                continue
-            ids = np.asarray(hits.ids, dtype=np.int64)
-            scores = np.asarray(hits.scores, dtype=np.float32)
+        for i, ids, scores in picked:
             if prune:
-                order = np.argsort(-scores, kind="stable")
-                ids, scores = ids[order], scores[order]
-                n = int(np.searchsorted(-scores, -kth, side="right"))
-                keep = np.zeros(n, dtype=bool)
-                lo = 0
-                # score order: liveness is only looked up while a chunk
-                # can still reach the running k-th best
-                while lo < n and scores[lo] >= kth:
-                    hi = min(n, lo + max(k, 64))
-                    m = visible(i, ids[lo:hi]) & (scores[lo:hi] >= kth)
-                    keep[lo:hi] = m
-                    best = np.concatenate([best, scores[lo:hi][m]])
-                    if len(best) >= k:
-                        best = np.sort(best)[-k:]
-                        kth = best[0]
-                    lo = hi
-                ids, scores = ids[:n][keep], scores[:n][keep]
-            else:
-                live = visible(i, ids)
-                ids, scores = ids[live], scores[live]
-            if not len(ids):
-                continue
+                keep = scores >= kth
+                ids, scores = ids[keep], scores[keep]
+                if not len(ids):
+                    continue
+            s = searchers[i]
             t = s.seg.table
             if spec.columns:
                 want = set(spec.columns) | set(self.key_cols)

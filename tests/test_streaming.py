@@ -1495,33 +1495,135 @@ def test_shared_evaluation_parity_across_query_counts(ray_session, tmp_path):
                             got.column("doc_count").to_pylist())) == want
 
 
+class _CountingActor:
+    """A partition-actor handle that logs ``(method, partition)`` for
+    every ``.remote`` call made through it."""
+
+    def __init__(self, handle, part: int, calls: list):
+        self._handle, self._part, self._calls = handle, part, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._handle, name)
+        calls, part = self._calls, self._part
+
+        class _Method:
+            def remote(self, *args, **kwargs):
+                calls.append((name, part))
+                return method.remote(*args, **kwargs)
+
+        return _Method()
+
+
 def test_epoch_scores_all_queries_in_two_rounds(ray_session, tmp_path):
-    """32 standing queries and a facet cost one run_epoch exactly one
-    stats exchange and one evaluate round over the partition actors."""
-    eng = _engine(parts=2)
-    calls = {"global_stats": 0, "evaluate": 0}
+    """One run_epoch is five rounds of partition-actor calls, whatever its
+    query count: ingest, seal (dead letters, watermark and the stats of
+    every standing query and facet), evaluate, settle (merge tick and
+    metrics) and checkpoint — so all queries and facets are scored in
+    two rounds, the seal's stats and one evaluate call per actor."""
+    for n_q in (1, 32):
+        eng = _engine(str(tmp_path / f"ck{n_q}"), parts=2)
+        real = eng.actors
+        calls: list = []
+        eng.actors = [_CountingActor(a, p, calls) for p, a in enumerate(real)]
+        sink = tmp_path / f"s{n_q}"
+        try:
+            r = EpochRunner(eng, str(sink), _parity_queries(n_q),
+                            facets={"roles": ("merge", "role")}, topk=5,
+                            columns=["conv_id", "turn_idx", "score"])
+            r.run_epoch(0, transcript_turns(500, seed=9))
+            rounds = [m for i, (m, _) in enumerate(calls)
+                      if i == 0 or calls[i - 1][0] != m]
+            assert rounds == ["ingest", "seal", "evaluate", "settle",
+                              "checkpoint"], calls
+            for m in rounds[1:]:
+                assert sorted(p for c, p in calls if c == m) == [0, 1], m
+            assert all(os.path.exists(str(sink / f"q{j}"
+                                          / "epoch=000000.parquet"))
+                       for j in range(n_q))
+        finally:
+            eng.actors = real
+            eng.shutdown()
 
-    def counted(name):
-        orig = getattr(eng, name)
 
-        def call(*args, **kwargs):
-            calls[name] += 1
-            return orig(*args, **kwargs)
-        setattr(eng, name, call)
+def test_epoch_metrics_record_phase_timings(ray_session, turns, tmp_path):
+    """Each ``metrics/epoch=*.json`` records the epoch's phase timings in
+    ms under ``phase_ms``, one key per phase."""
+    import json
 
-    counted("global_stats")
-    counted("evaluate")
+    eng = _engine(str(tmp_path / "ck"), parts=2)
     try:
-        r = EpochRunner(eng, str(tmp_path / "s"), _parity_queries(32),
-                        facets={"roles": ("merge", "role")}, topk=5,
-                        columns=["conv_id", "turn_idx", "score"])
-        r.run_epoch(0, transcript_turns(500, seed=9))
-        assert calls == {"global_stats": 1, "evaluate": 1}
-        assert all(os.path.exists(str(tmp_path / "s" / f"q{j}"
-                                      / "epoch=000000.parquet"))
-                   for j in range(32))
+        r = EpochRunner(eng, str(tmp_path / "s"),
+                        {"q": pdb.term("text", "merge")},
+                        facets={"roles": ("merge", "role")})
+        r.run(_ts_epochs(turns, 2))
     finally:
         eng.shutdown()
+    for e in range(2):
+        with open(str(tmp_path / "s" / "metrics"
+                      / f"epoch={e:06d}.json")) as f:
+            phase = json.load(f)["phase_ms"]
+        assert list(phase) == ["ingest", "seal", "evaluate", "sink",
+                               "settle", "compaction"]
+        assert all(isinstance(v, float) and v >= 0 for v in phase.values())
+
+
+def test_crash_before_commit_marker_replays_epoch_once(ray_session,
+                                                       tmp_path,
+                                                       monkeypatch):
+    """A crash after an epoch's sink writes but before its commit marker
+    (the sessions compaction raising at epoch 1 of 3) leaves no
+    checkpoint of that epoch: resume restores epoch 0, replays epoch 1 in
+    full, and the engine and every emission equal an uninterrupted run."""
+    import pyarrow.parquet as pq
+
+    turns = transcript_turns(1200, seed=3)
+    epochs = _ts_epochs(turns, 3)
+    standing = {"merge": pdb.term("text", "merge"),
+                "merge_or_shard": "merge OR shard"}
+    cols = ["conv_id", "turn_idx", "score"]
+
+    def runner(eng, sink):
+        return EpochRunner(eng, sink, standing, topk=10, columns=cols)
+
+    clean = str(tmp_path / "clean")
+    eng = _engine(str(tmp_path / "ck_clean"), parts=2)
+    try:
+        runner(eng, clean).run(epochs)
+        want_docs = eng.num_docs()
+    finally:
+        eng.shutdown()
+
+    sink, ck = str(tmp_path / "crash"), str(tmp_path / "ck_crash")
+    real = EpochRunner._compact_sessions
+
+    def crash(self, tick):
+        raise RuntimeError("crash before the commit marker")
+
+    eng = _engine(ck, parts=2)
+    try:
+        r = runner(eng, sink)
+        r.run_epoch(0, epochs[0])
+        monkeypatch.setattr(EpochRunner, "_compact_sessions", crash)
+        with pytest.raises(RuntimeError, match="commit marker"):
+            r.run_epoch(1, epochs[1])
+        monkeypatch.setattr(EpochRunner, "_compact_sessions", real)
+        assert not r.epoch_done(1)
+    finally:
+        eng.shutdown()  # crash
+    eng = _engine(ck, parts=2)
+    try:
+        r = runner(eng, sink)
+        assert r.resume() == 0
+        out = r.run(epochs)
+        assert out[0].get("skipped") and not out[1].get("skipped")
+        assert eng.num_docs() == want_docs == turns.num_rows
+    finally:
+        eng.shutdown()
+    for name in standing:
+        for e in range(len(epochs)):
+            path = os.path.join(name, f"epoch={e:06d}.parquet")
+            assert pq.read_table(os.path.join(sink, path)).equals(
+                pq.read_table(os.path.join(clean, path))), (name, e)
 
 
 def test_incomparable_term_counts_zero_df(ray_session, turns):
@@ -1700,7 +1802,7 @@ def test_sessions_fold_crash_before_tail_delete(ray_session, turns,
     eng = _engine(ck, parts=2)
     try:
         r = _fold_runner(eng, sink)
-        assert r.resume() == crash_at
+        assert r.resume() == crash_at - 1
         out = r.run(epochs)
         assert all(o.get("skipped") for o in out[:crash_at])
         assert not out[crash_at].get("skipped")
