@@ -25,6 +25,8 @@ from paradedb_ray.query import ast
 from paradedb_ray.schema import IndexSchema
 from paradedb_ray.stages.blocks import (cluster_cpus, collect_table,
                                         tree_reduce_refs)
+from paradedb_ray.stages.hash_agg import (hash_partition_apply, row_changes,
+                                          run_offsets, sort_runs)
 
 
 def sql_aggregate(
@@ -784,24 +786,14 @@ def percentiles_agg(
         hash partition: one multi-key sort, reduceat group boundaries,
         fancy-indexed lo/hi interpolation (same float64 ops as the old
         per-group scalar path — bit-identical results)."""
-        import pandas as pd
-
         pnames = [f"{prefix}{int(p) if float(p).is_integer() else p}"
                   for p in percents]
         if t.num_rows == 0:
             return pa.table(
                 {**{k: t.column(k) for k in group_by},
                  **{n: pa.array([], pa.float64()) for n in pnames}})
-        idx = pc.sort_indices(
-            t, sort_keys=[(k, "ascending") for k in group_by]
-            + [(col, "ascending")], null_placement="at_end")
-        t = t.take(idx)
-        kdf = t.select(group_by).to_pandas()
-        codes = np.zeros(len(kdf), dtype=np.int64)
-        for k in group_by:
-            ck, _ = pd.factorize(kdf[k], use_na_sentinel=False)
-            codes = codes * (int(ck.max()) + 1) + ck
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+        t, start = sort_runs(t, group_by, [(col, "ascending")])
+        starts = np.flatnonzero(start)
         x = t.column(col).to_numpy(zero_copy_only=False).astype(float)
         valid = ~np.isnan(x)
         nn = np.add.reduceat(valid.astype(np.int64), starts)
@@ -821,8 +813,6 @@ def percentiles_agg(
         return pa.table(out)
 
     if group_by:
-        from paradedb_ray.stages.hash_agg import hash_partition_apply
-
         pruned = ds.select_columns(list(group_by) + [col])
         return hash_partition_apply(pruned, group_by, group_quantiles)
 
@@ -1146,30 +1136,14 @@ def top_hits_agg(
     Hash-partitioned reduce with a block-local combiner: each block keeps
     only its own top ``size`` per bucket before the all-to-all, so the
     shuffle carries at most ``size x buckets`` rows per block — not the
-    corpus."""
-    import pandas as pd
-
-    sort_keys = [(k, "ascending") for k in group_by] + [
-        (c, d if d in ("ascending", "descending") else "ascending")
-        for c, d in sort]
+    corpus.  Every output block has one schema: the group keys,
+    ``hit_rank``, then the source columns."""
+    order = [(c, d if d in ("ascending", "descending") else "ascending")
+             for c, d in sort]
 
     def _topn(t: pa.Table, final: bool) -> pa.Table:
-        if t.num_rows == 0:
-            if final and "hit_rank" not in t.column_names:
-                t = t.append_column("hit_rank", pa.array([], pa.int64()))
-            return t
-        idx = pc.sort_indices(t, sort_keys=sort_keys,
-                              null_placement="at_end")
-        t = t.take(idx)
-        codes = np.zeros(t.num_rows, dtype=np.int64)
-        for k in group_by:
-            ck, _ = pd.factorize(t.column(k).to_pandas(),
-                                 use_na_sentinel=False)
-            codes = codes * (int(ck.max()) + 1) + ck
-        newp = np.r_[True, codes[1:] != codes[:-1]]
-        starts = np.flatnonzero(newp)
-        counts = np.diff(np.r_[starts, t.num_rows])
-        pos = np.arange(t.num_rows) - np.repeat(starts, counts)
+        t, start = sort_runs(t, group_by, order)
+        pos = run_offsets(start)
         mask = pos < size
         t = t.filter(pa.array(mask))
         if not final:
@@ -1180,8 +1154,6 @@ def top_hits_agg(
                    if c not in group_by and c != "hit_rank"])
         return t.select([c for c in dict.fromkeys(keep)
                          if c in t.column_names])
-
-    from paradedb_ray.stages.hash_agg import hash_partition_apply
 
     return hash_partition_apply(ds, group_by,
                                 reduce_fn=lambda t: _topn(t, True),
@@ -1220,18 +1192,7 @@ def partitioned_window(
     small frames (P <= 256) which is the only shape a row-frame makes
     sense for.
     """
-    import pandas as pd
-
     ob_cols = [c for c, _ in order_by]
-    ob_desc = [d == "descending" for _, d in order_by]
-
-    def _codes(t: pa.Table, cols: list) -> np.ndarray:
-        c = np.zeros(t.num_rows, dtype=np.int64)
-        for k in cols:
-            ck, _ = pd.factorize(t.column(k).to_pandas(),
-                                 use_na_sentinel=False)
-            c = c * (int(ck.max()) + 1) + ck
-        return c
 
     def win_part(t: pa.Table) -> pa.Table:
         """All partitions of one hash slice, vectorized: one sort, then
@@ -1245,19 +1206,15 @@ def partitioned_window(
                        else pa.float64())
                 t = t.append_column(name, pa.array([], typ))
             return t
-        idx = pc.sort_indices(
-            t, sort_keys=[(k, "ascending") for k in partition_by]
-            + [(c, "descending" if d else "ascending")
-               for c, d in zip(ob_cols, ob_desc)])
-        t = t.take(idx)
+        t, newp = sort_runs(
+            t, partition_by,
+            [(c, "descending" if d == "descending" else "ascending")
+             for c, d in order_by])
         n = t.num_rows
-        pcode = _codes(t, partition_by)
-        newp = np.r_[True, pcode[1:] != pcode[:-1]]
-        ocode = _codes(t, ob_cols)
-        newtie = newp | np.r_[True, ocode[1:] != ocode[:-1]]
+        newtie = newp | row_changes(t, ob_cols)  # ORDER BY peer runs
         pstarts = np.flatnonzero(newp)
         pcounts = np.diff(np.r_[pstarts, n])
-        pos = np.arange(n) - np.repeat(pstarts, pcounts)  # 0-based in part
+        pos = run_offsets(newp)  # 0-based in part
         row_number = pos + 1
         pstart_row = np.repeat(pstarts, pcounts)
         for name, spec in funcs.items():
@@ -1340,9 +1297,7 @@ def partitioned_window(
                 # partition's first row and wherever the (any-typed)
                 # value differs from the previous row — the
                 # consecutive-dedup / state-transition primitive
-                ck, _ = pd.factorize(t.column(col).to_pandas(),
-                                     use_na_sentinel=False)
-                ch = np.r_[True, ck[1:] != ck[:-1]] | newp
+                ch = row_changes(t, [col]) | newp
                 t = t.append_column(name, pa.array(ch, pa.bool_()))
             elif kind == "fill_forward":
                 # LAST_VALUE(col IGNORE NULLS) OVER (... ROWS UNBOUNDED
@@ -1395,8 +1350,6 @@ def partitioned_window(
             else:
                 raise ValueError(kind)
         return t
-
-    from paradedb_ray.stages.hash_agg import hash_partition_apply
 
     return hash_partition_apply(ds, partition_by, win_part)
 
@@ -1483,8 +1436,6 @@ def time_rolling_window(
     Scale contract: one hash shuffle; a single partition-key's rows fit
     a worker (same as any per-session state).
     """
-    import pandas as pd
-
     win_us = _parse_fixed_interval(window)
 
     def roll_part(t: pa.Table) -> pa.Table:
@@ -1493,10 +1444,9 @@ def time_rolling_window(
                 typ = pa.int64() if kind == "count" else pa.float64()
                 t = t.append_column(name, pa.array([], typ))
             return t
-        sort_keys = ([(k, "ascending") for k in partition_by]
-                     + [(ts_col, "ascending")]
-                     + ([(tie_col, "ascending")] if tie_col else []))
-        t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
+        t, newp = sort_runs(
+            t, partition_by, [(ts_col, "ascending")]
+            + ([(tie_col, "ascending")] if tie_col else []))
         n = t.num_rows
         tc = t.column(ts_col)
         if pc.any(pc.is_null(tc)).as_py():
@@ -1509,12 +1459,6 @@ def time_rolling_window(
             tc = tc.cast(pa.timestamp("us"))  # window is parsed in us
         ts = tc.cast(pa.int64()).to_numpy(
             zero_copy_only=False).astype(np.int64)
-        pcode = np.zeros(n, dtype=np.int64)
-        for k in partition_by:
-            ck, _ = pd.factorize(t.column(k).to_pandas(),
-                                 use_na_sentinel=False)
-            pcode = pcode * (int(ck.max()) + 1) + ck
-        newp = np.r_[True, pcode[1:] != pcode[:-1]]
         # monotonic rebase: shift each partition so the global ts axis is
         # nondecreasing with > window gaps at partition boundaries
         delta = np.zeros(n, dtype=np.int64)
@@ -1570,8 +1514,6 @@ def time_rolling_window(
         for name in aggs:
             t = t.append_column(name, out_cols[name])
         return t
-
-    from paradedb_ray.stages.hash_agg import hash_partition_apply
 
     # no internal prune: all input columns pass through (the caller prunes
     # at the read, like every other window entry)

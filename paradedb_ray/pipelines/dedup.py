@@ -700,7 +700,8 @@ def ngram_jaccard_duplicates(
         pairs = _lsh_bucket_pairs(sigs, key_col, ["band", "band_hash"],
                                   dedup=False)
     # distinct (key, dup_of): two-stage hash dedup — pairs ≈ dups only
-    from paradedb_ray.stages.hash_agg import hash_group_aggregate
+    from paradedb_ray.stages.hash_agg import (hash_group_aggregate,
+                                              hash_partition_apply, sort_runs)
 
     pairs = hash_group_aggregate(pairs, [key_col, "dup_of"], {})
     pairs = pairs.materialize()  # tiny: candidate pairs only
@@ -735,16 +736,8 @@ def ngram_jaccard_duplicates(
     def canonical(t: pa.Table) -> pa.Table:
         # keep one canonical target per duplicate key (smallest dup_of),
         # carrying that pair's jaccard — vectorized first-per-key
-        if t.num_rows == 0:
-            return t
-        idx = pc.sort_indices(t, sort_keys=[(key_col, "ascending"),
-                                            ("dup_of", "ascending")])
-        t = t.take(idx)
-        k = t.column(key_col).to_numpy(zero_copy_only=False)
-        first = np.r_[True, k[1:] != k[:-1]]
+        t, first = sort_runs(t, [key_col], [("dup_of", "ascending")])
         return t.filter(pa.array(first))
-
-    from paradedb_ray.stages.hash_agg import hash_partition_apply
 
     return hash_partition_apply(verified.materialize(), [key_col],
                                 canonical)

@@ -18,6 +18,8 @@ from typing import Optional
 import numpy as np
 import pyarrow as pa
 
+from paradedb_ray.stages.hash_agg import row_changes, run_offsets
+
 
 def _to_table(x) -> pa.Table:
     if isinstance(x, pa.Table):
@@ -34,17 +36,9 @@ def _to_table(x) -> pa.Table:
 def _rank_with_ties(values: np.ndarray, descending: bool) -> np.ndarray:
     """SQL RANK(): 1-based, ties share the rank of their first row."""
     order = np.argsort(-values if descending else values, kind="stable")
-    sorted_vals = values[order]
-    # rank of sorted position i = 1 + count of strictly-better values
-    is_new = np.empty(len(values), dtype=bool)
-    if len(values):
-        is_new[0] = True
-        is_new[1:] = sorted_vals[1:] != sorted_vals[:-1]
-    firsts = np.where(is_new, np.arange(len(values)), 0)
-    np.maximum.accumulate(firsts, out=firsts)
-    ranks_sorted = firsts + 1
+    is_new = row_changes(pa.table({"v": values[order]}), ["v"])
     ranks = np.empty(len(values), dtype=np.int64)
-    ranks[order] = ranks_sorted
+    ranks[order] = np.arange(len(values)) - run_offsets(is_new) + 1
     return ranks
 
 

@@ -315,7 +315,7 @@ def asof_join(
     import numpy as np
     import pyarrow.compute as pc
 
-    from paradedb_ray.stages.hash_agg import hash_partition_apply
+    from paradedb_ray.stages.hash_agg import hash_partition_apply, sort_runs
 
     if direction not in ("backward", "forward"):
         raise ValueError(direction)
@@ -380,8 +380,6 @@ def asof_join(
     out_schema = pa.schema(out_fields)
 
     def asof_partition(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
         if t.num_rows == 0:
             return out_schema.empty_table()
         # a partition fed blocks of only ONE side lacks the other side's
@@ -390,30 +388,26 @@ def asof_join(
         for f in out_fields:
             if f.name not in t.column_names:
                 t = t.append_column(f.name, pa.nulls(t.num_rows, f.type))
-        idx = pc.sort_indices(
-            t, sort_keys=[(k, "ascending") for k in keys]
-            + [("__ts", "ascending"), ("__side", "ascending"),
-               ("__tie", "ascending")])
-        t = t.take(idx)
+        t, start = sort_runs(t, keys, [("__ts", "ascending"),
+                                       ("__side", "ascending"),
+                                       ("__tie", "ascending")])
         n = t.num_rows
         side = t.column("__side").to_numpy(zero_copy_only=False)
         ts_null = pc.is_null(t.column("__ts")).to_numpy(zero_copy_only=False)
         # a NULL in any key column equals nothing (SQL): such a left row
-        # matches no right row, however the key codes below compare
+        # matches no right row, however the key runs below compare
         key_null = np.zeros(n, dtype=bool)
-        kcode = np.zeros(n, dtype=np.int64)
         for k in keys:
-            col = t.column(k)
-            key_null |= pc.is_null(col).to_numpy(zero_copy_only=False)
-            ck, _ = pd.factorize(col.to_pandas(), use_na_sentinel=False)
-            kcode = kcode * (int(ck.max()) + 1) + ck
+            key_null |= pc.is_null(t.column(k)).to_numpy(
+                zero_copy_only=False)
+        run = np.cumsum(start)
         pos = np.arange(n, dtype=np.int64)
         ridx = np.where((side == 0) & ~ts_null, pos, -1)
         last_r = np.maximum.accumulate(ridx)
         li = np.flatnonzero(side == 1)
         m = last_r[li]
         valid = (m >= 0) & ~ts_null[li] & ~key_null[li]
-        valid &= np.where(valid, kcode[np.where(valid, m, 0)] == kcode[li],
+        valid &= np.where(valid, run[np.where(valid, m, 0)] == run[li],
                           False)
         if tol_us is not None:
             # gap in the (possibly negated) time axis is always >= 0 for

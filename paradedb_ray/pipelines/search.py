@@ -28,6 +28,7 @@ from paradedb_ray.schema import IndexSchema
 from paradedb_ray.stages import search_stages
 from paradedb_ray.stages.blocks import (chunk_refs, concat_blocks,
                                         merge_blocks, tree_reduce_refs)
+from paradedb_ray.stages.hash_agg import run_offsets, sort_runs
 from paradedb_ray.stages.search_stages import (QueryPacketBuilder,
                                                SegmentScorer,
                                                _merge_stats_parts,
@@ -419,26 +420,16 @@ def reciprocal_rank_fusion(
                                               for c in key_cols],
         output_columns=list(key_cols) + ["score"])
 
-    import numpy as np
-
     def fuse(t: pa.Table) -> pa.Table:
         """Rank per query + RRF sum + final head, in ONE task — the
         candidate set is <= |queries| x per_query_limit rows, so two
         Dataset groupby launches were pure fixed overhead."""
-        import pandas as pd
-
         if t.num_rows == 0:
             return t.select(key_cols).append_column(
                 "rrf_score", pa.array([], pa.float64()))
-        idx = pc.sort_indices(
-            t, sort_keys=[("query_id", "ascending"),
-                          ("score", "descending")]
-            + [(c, "ascending") for c in key_cols])
-        t = t.take(idx)
-        q, _ = pd.factorize(t.column("query_id").to_pandas())
-        starts = np.flatnonzero(np.r_[True, q[1:] != q[:-1]])
-        counts = np.diff(np.r_[starts, t.num_rows])
-        rank = np.arange(t.num_rows) - np.repeat(starts, counts) + 1
+        t, start = sort_runs(t, ["query_id"], [("score", "descending")]
+                             + [(c, "ascending") for c in key_cols])
+        rank = run_offsets(start) + 1
         part = t.select(key_cols).append_column(
             "rrf_part", pa.array(1.0 / (k + rank), pa.float64()))
         g = part.group_by(key_cols).aggregate([("rrf_part", "sum")])

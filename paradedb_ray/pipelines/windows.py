@@ -15,12 +15,13 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
 from paradedb_ray.pipelines.aggregate import sql_aggregate, _parse_fixed_interval
+from paradedb_ray.stages.hash_agg import hash_partition_apply, sort_runs
 
 
 def _ts_us(batch: pa.Table, ts_col: str) -> np.ndarray:
@@ -101,8 +102,6 @@ def session_window(
     """
     gap_us = _parse_fixed_interval(gap)
     aggs = aggs or {}
-    import pyarrow as pa
-    import pyarrow.compute as pc
 
     def sessions_part(t: pa.Table) -> pa.Table:
         """All keys of one hash partition, vectorized: one (key, ts)
@@ -118,14 +117,9 @@ def session_window(
             for n in pnames:
                 cols[n] = pa.array([], pa.float64())
             return pa.table(cols)
-        idx = pc.sort_indices(t, sort_keys=[(key, "ascending"),
-                                            (ts_col, "ascending")])
-        t = t.take(idx)
+        t, new = sort_runs(t, [key], [(ts_col, "ascending")])
         ts = t.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        codes, _ = pd.factorize(t.column(key).to_pandas(),
-                                use_na_sentinel=False)
-        new = np.ones(len(ts), dtype=bool)
-        new[1:] = (codes[1:] != codes[:-1]) | ((ts[1:] - ts[:-1]) > gap_us)
+        new[1:] |= np.diff(ts) > gap_us
         starts = np.flatnonzero(new)
         ends = np.r_[starts[1:], len(ts)]
         take = pa.array(starts, pa.int64())
@@ -154,12 +148,44 @@ def session_window(
             cols[name] = pa.array(out, pa.float64(), from_pandas=True)
         return pa.table(cols)
 
-    from paradedb_ray.stages.hash_agg import hash_partition_apply
-
     need = list(dict.fromkeys(
         [key, ts_col] + [c for _, c in aggs.values()]))
     return hash_partition_apply(ds.select_columns(need), [key],
                                 sessions_part)
+
+
+def sequence_matches(t: pa.Table, keys: list, order_by: list, steps: list,
+                     emit: list, within_us: Optional[int] = None,
+                     ts_col: Optional[str] = None) -> pa.Table:
+    """The one CEP scan, shared by the batch :func:`match_sequence` and
+    the streaming session-close patterns (``engine._pattern_reducer``):
+    sort ``t`` into runs of ``keys`` in ``order_by`` order, then k-1
+    vectorized shifted ANDs find the starts of ``k = len(steps)``
+    adjacent rows of one run where row ``i+j`` satisfies ``steps[j]``
+    (and ``ts[last] - ts[first] <= within_us``).  Returns one row per
+    match: the key columns, then each ``emit`` ``(step_idx, col,
+    out_name)`` taken from that step's row."""
+    k = len(steps)
+    t, start = sort_runs(t, keys, order_by)
+    m = max(t.num_rows - k + 1, 0)
+    run = np.cumsum(start)
+    hit = run[k - 1:] == run[:m]  # a match never spans two runs
+    for j, step in enumerate(steps):
+        if callable(step):
+            mask = np.asarray(step(t), dtype=bool)
+        else:
+            col, value = step
+            mask = pc.equal(t.column(col), value).fill_null(
+                False).to_numpy(zero_copy_only=False)
+        hit &= mask[j:j + m]
+    if within_us is not None:
+        ts = _ts_us(t, ts_col)
+        hit &= (ts[k - 1:] - ts[:m]) <= within_us
+    starts = np.flatnonzero(hit)
+    cols = {kc: t.column(kc).take(starts) for kc in keys}
+    for j, col, out in emit:
+        cols[out] = t.column(col).take(starts + j)
+    return pa.table(cols)
 
 
 def match_sequence(
@@ -186,16 +212,10 @@ def match_sequence(
     column(s) + emitted columns.
 
     Plan: ONE hash shuffle on the key (every row of a key meets in one
-    reducer), then per partition one sort + k-1 vectorized shifted ANDs —
-    adjacency never crosses key boundaries (key-code equality between the
-    first and last row of the window is checked explicitly).  Scale
-    contract: a single key's rows fit a worker, the same assumption as
-    any per-session state store.
+    reducer), then per partition one :func:`sequence_matches` scan.
+    Scale contract: a single key's rows fit a worker, the same
+    assumption as any per-session state store.
     """
-    import pyarrow.compute as pc
-
-    from paradedb_ray.stages.hash_agg import hash_partition_apply
-
     k = len(steps)
     if k < 1:
         raise ValueError("steps must be non-empty")
@@ -210,42 +230,9 @@ def match_sequence(
         [pa.field(kc, in_types[kc]) for kc in keys]
         + [pa.field(out, in_types[col]) for _, col, out in emit])
 
-    def _mask(t: pa.Table, step) -> np.ndarray:
-        if callable(step):
-            return np.asarray(step(t), dtype=bool)
-        col, value = step
-        return pc.equal(t.column(col), value).fill_null(False).to_numpy(
-            zero_copy_only=False).astype(bool)
-
     def seq_part(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        n = t.num_rows
-        if n < k:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(
-            t, sort_keys=[(kc, "ascending") for kc in keys]
-            + [(c, d) for c, d in order_by])
-        t = t.take(idx)
-        kcode = np.zeros(n, dtype=np.int64)
-        for kc in keys:
-            ck, _ = pd.factorize(t.column(kc).to_pandas(),
-                                 use_na_sentinel=False)
-            kcode = kcode * (int(ck.max()) + 1) + ck
-        hit = _mask(t, steps[0])[:n - k + 1].copy()
-        for j in range(1, k):
-            hit &= _mask(t, steps[j])[j:n - k + 1 + j]
-        hit &= kcode[k - 1:] == kcode[:n - k + 1]
-        if within_us is not None:
-            ts = _ts_us(t, ts_col)
-            hit &= (ts[k - 1:] - ts[:n - k + 1]) <= within_us
-        starts = np.flatnonzero(hit)
-        cols = {kc: t.column(kc).take(pa.array(starts, pa.int64()))
-                for kc in keys}
-        for j, col, out in emit:
-            cols[out] = t.column(col).take(
-                pa.array(starts + j, pa.int64()))
-        return pa.table(cols, schema=out_schema)
+        return sequence_matches(t, keys, order_by, steps, emit, within_us,
+                                ts_col).cast(out_schema)
 
     if not any(callable(s) for s in steps):
         # prune at the shuffle; a callable step may read any column, so
@@ -257,6 +244,7 @@ def match_sequence(
             + [c for _, c, _ in emit]))
         ds = ds.select_columns(need)
     return hash_partition_apply(ds, keys, seq_part)
+
 
 def sessionize(
     ds: ray.data.Dataset,
@@ -279,29 +267,14 @@ def sessionize(
     ``SUM(CASE WHEN ts - LAG(ts) > gap THEN 1 ELSE 0 END) OVER
     (PARTITION BY key ORDER BY ts ...)``.
     """
-    import pandas as pd
-    import pyarrow.compute as pc
-
-    from paradedb_ray.stages.hash_agg import hash_partition_apply
-
     gap_us = _parse_fixed_interval(gap)
 
     def part(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t.append_column(session_col, pa.array([], pa.int64()))
-        idx = pc.sort_indices(t, sort_keys=[(key, "ascending"),
-                                            (ts_col, "ascending")])
-        t = t.take(idx)
-        n = t.num_rows
-        ts = _ts_us(t, ts_col)
-        codes, _ = pd.factorize(t.column(key).to_pandas(),
-                                use_na_sentinel=False)
-        newp = np.r_[True, codes[1:] != codes[:-1]]
-        brk = np.r_[False, (ts[1:] - ts[:-1]) > gap_us] & ~newp
-        g = np.cumsum(newp | brk)
-        pstarts = np.flatnonzero(newp)
-        pcounts = np.diff(np.r_[pstarts, n])
-        sid = g - np.repeat(g[pstarts], pcounts)
+        t, newp = sort_runs(t, [key], [(ts_col, "ascending")])
+        brk = ~newp
+        brk[1:] &= np.diff(_ts_us(t, ts_col)) > gap_us
+        g = np.cumsum(brk)
+        sid = g - np.maximum.accumulate(np.where(newp, g, 0))
         return t.append_column(session_col, pa.array(sid, pa.int64()))
 
     return hash_partition_apply(ds, [key], part)

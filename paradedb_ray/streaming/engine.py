@@ -48,12 +48,15 @@ import pyarrow.parquet as pq
 
 import ray
 
+from paradedb_ray.pipelines.joins import payload_safe_join
+from paradedb_ray.pipelines.windows import _ts_us, sequence_matches
 from paradedb_ray.query import ast
 from paradedb_ray.query.parser import bind
 from paradedb_ray.schema import IndexSchema
 from paradedb_ray.index.searcher import GlobalStats
 from paradedb_ray.stages.blocks import (cluster_cpus, collect_table,
                                         concat_blocks)
+from paradedb_ray.stages.hash_agg import sort_runs
 from paradedb_ray.stages.search_stages import (collect_stat_requests,
                                                merge_stat_requests,
                                                rank_head, terms_facet)
@@ -676,57 +679,34 @@ def _write_atomic_parquet(table: pa.Table, path: str):
 def _pattern_reducer(sess_ref, steps, emit, within_us, conv_col, turn_col,
                      ts_col, out_schema):
     """Per-partition session-close CEP kernel (runs inside a reduce task):
-    join this partition's closed-conv turns onto the broadcast
-    closed-session intervals, then ONE vectorized shifted-AND adjacency
-    scan keyed by (conv, session_start) — matches never cross a session
+    join this partition's closed-conv turns, projected to the columns the
+    pattern reads, onto the broadcast closed-session intervals, then the
+    batch CEP scan (``windows.py::sequence_matches``) keyed by (conv,
+    session_start) in (ts, turn) order — matches never cross a session
     or a conversation.  Returns only matches (tiny vs the turn volume)."""
+    read = list(dict.fromkeys([conv_col, turn_col, ts_col]
+                              + [c for c, _ in steps]
+                              + [c for _, c, _ in emit]))
 
     def reduce(t: pa.Table) -> pa.Table:
-        import numpy as np
-        import pandas as pd
-        import pyarrow as pa
-
         if t.num_rows == 0:
             return out_schema.empty_table()
-        rdf = t.to_pandas()
-        rdf["__ts_us"] = t.column(ts_col).cast(
-            pa.timestamp("us")).cast(pa.int64()).to_numpy(
-                zero_copy_only=False)
-        sess = ray.get(sess_ref).to_pandas()
-        if conv_col != "conv_id":
-            sess = sess.rename(columns={"conv_id": conv_col})
-        j = rdf.merge(sess, on=conv_col)
-        j = j[(j["__ts_us"] >= j["session_start"])
-              & (j["__ts_us"] <= j["session_end"])]
-        k = len(steps)
-        n = len(j)
-        if n < k:
-            return out_schema.empty_table()
-        j = j.sort_values([conv_col, "session_start", "__ts_us", turn_col],
-                          kind="mergesort").reset_index(drop=True)
-        kcode = pd.factorize(
-            j[conv_col].astype(str) + "\x00"
-            + j["session_start"].astype(str))[0]
-        hit = np.ones(n - k + 1, dtype=bool)
-        for jj, (col, value) in enumerate(steps):
-            m = (j[col] == value).to_numpy()
-            hit &= m[jj:n - k + 1 + jj]
-        hit &= kcode[k - 1:] == kcode[:n - k + 1]
-        if within_us is not None:
-            tsv = j["__ts_us"].to_numpy()
-            hit &= (tsv[k - 1:] - tsv[:n - k + 1]) <= within_us
-        starts = np.flatnonzero(hit)
-        if not len(starts):
-            return out_schema.empty_table()
-        cols = {"conv_id": pa.array(
-                    j[conv_col].to_numpy()[starts].tolist(), pa.string()),
-                "session_start": pa.array(
-                    j["session_start"].to_numpy()[starts], pa.int64())}
-        for jj, col, out in emit:
-            f = out_schema.field(out)
-            cols[out] = pa.array(j[col].to_numpy()[starts + jj].tolist(),
-                                 f.type)
-        return pa.table(cols, schema=out_schema)
+        sess = ray.get(sess_ref)
+        sess = pa.table({
+            conv_col: sess.column("conv_id").cast(t.schema.field(
+                conv_col).type),
+            "session_start": sess.column("session_start"),
+            "session_end": sess.column("session_end")})
+        j = payload_safe_join(t.select(read), sess, [conv_col], "inner")
+        ts = _ts_us(j, ts_col)
+        start = j.column("session_start").to_numpy(zero_copy_only=False)
+        end = j.column("session_end").to_numpy(zero_copy_only=False)
+        j = j.filter(pa.array((ts >= start) & (ts <= end)))
+        out = sequence_matches(
+            j, [conv_col, "session_start"],
+            [(ts_col, "ascending"), (turn_col, "ascending")],
+            steps, emit, within_us, ts_col)
+        return out.rename_columns(out_schema.names).cast(out_schema)
 
     return reduce
 
@@ -760,22 +740,10 @@ def _latest_sessions_view(t: pa.Table,
     read and fold tasks — parity by construction."""
     import pyarrow.compute as pc
 
-    t = t.take(pc.sort_indices(t, sort_keys=[("conv_id", "ascending"),
-                                             ("session_start", "ascending"),
-                                             ("epoch", "ascending")]))
-    n = t.num_rows
-    if n:
-        # last[i]: row i's identity differs from row i + 1's
-        last = np.ones(n, dtype=bool)
-        last[:-1] = False
-        for name in ("conv_id", "session_start"):
-            col = t.column(name)
-            a, b = col.slice(0, n - 1), col.slice(1)
-            # null-safe: two nulls are one identity
-            differ = pc.or_(pc.fill_null(pc.not_equal(a, b), False),
-                            pc.xor(pc.is_null(a), pc.is_null(b)))
-            last[:-1] |= differ.to_numpy(zero_copy_only=False)
-        t = t.filter(pa.array(last))
+    t, start = sort_runs(t, ["conv_id", "session_start"],
+                         [("epoch", "ascending")])
+    if t.num_rows:
+        t = t.filter(pa.array(np.r_[start[1:], True]))
     if drop_tombstones:
         t = t.filter(pc.greater(t.column("n_turns"), 0))
     return t
@@ -861,7 +829,7 @@ class EpochRunner:
         # standing CEP pattern queries evaluated on SESSION CLOSE: when the
         # watermark closes a session, its turns are gathered from the
         # owning partitions and scanned for adjacent followed-by sequences
-        # (the streaming twin of `pipelines/windows.py::match_sequence`).
+        # (the CEP scan of `pipelines/windows.py::sequence_matches`).
         # name -> {"steps": [(col, value), ...],
         #          "emit": [(step_idx, col, out_name), ...],
         #          "within": "30m" | None}
@@ -1048,11 +1016,11 @@ class EpochRunner:
         object store as a ``ray.data`` Dataset; the closed-session table
         (conv, start, end triples — bounded by sessions closing this
         epoch) broadcasts via ``ray.put``; ONE hash shuffle per pattern
-        co-locates a conversation's turns, and each reducer runs one
-        vectorized shifted-AND scan.  Only the MATCHES return to the
-        driver for the sink write — the closed sessions' turns never
-        materialize on the driver (the read_sessions lesson, VERDICT r4
-        #2).  Per-session (conv, session_start) codes keep matches from
+        co-locates a conversation's turns, and each reducer runs the
+        batch CEP scan (``windows.py::sequence_matches``).  Only the
+        MATCHES return to the driver for the sink write — the closed
+        sessions' turns never materialize on the driver (the
+        read_sessions lesson, VERDICT r4 #2).  Per-session (conv, session_start) runs keep matches from
         crossing a session or a conversation; a late-arrival re-close
         under the same session identity re-runs the pattern over the
         updated turn set and re-emits in the re-closing epoch (latest

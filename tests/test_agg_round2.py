@@ -204,6 +204,26 @@ def test_top_hits(ray_session, events_tbl):
     assert list(got["user_id"]) == list(exp["user_id"])
 
 
+def test_top_hits_blocks_share_one_schema(ray_session):
+    """One group over several hash partitions: the empty partitions'
+    blocks carry the same columns, in the same order, as the one holding
+    the group (group keys, ``hit_rank``, source columns)."""
+    from paradedb_ray.pipelines.aggregate import top_hits_agg
+
+    t = pa.table({"g": ["a"] * 5, "x": np.arange(5, dtype=np.int64),
+                  "y": np.arange(5, dtype=np.float64)})
+    for source in (None, ["x"]):
+        out = top_hits_agg(ray.data.from_arrow(t), ["g"],
+                           [("x", "descending")], size=2,
+                           source_cols=source)
+        blocks = ray.get(out.to_arrow_refs())
+        assert len(blocks) > 1
+        want = ["g", "hit_rank", "x"] + (["y"] if source is None else [])
+        assert [b.schema.names for b in blocks] == [want] * len(blocks)
+        assert len({b.schema for b in blocks}) == 1
+        assert sum(b.num_rows for b in blocks) == 2
+
+
 def test_bucket_limit_guard(ray_session, events_tbl):
     """The reference aborts aggregations that exceed max_term_agg_buckets
     (`api/aggregate.rs:70-110`); pdb_agg raises rather than returning a

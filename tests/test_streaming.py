@@ -1270,6 +1270,84 @@ def test_pattern_late_reclose_voids_stale_match(ray_session, tmp_path):
         eng.shutdown()
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_pattern_stream_batch_parity(ray_session, seed):
+    """The session-close CEP reducer finds exactly the matches of the
+    batch ``match_sequence`` over the same turns keyed by (conv_id,
+    session_start): random conversations of several sessions, NULL step
+    values, equal timestamps, turns of still-open sessions, a ``within``
+    bound."""
+    import ray
+    import ray.data
+
+    from paradedb_ray.pipelines.windows import match_sequence
+    from paradedb_ray.stages.blocks import collect_table
+    from paradedb_ray.streaming.engine import _pattern_reducer
+
+    rng = np.random.RandomState(seed)
+    MIN = 60_000_000
+    rows, sess = [], []
+    for c in range(12):
+        ts = start = 1_700_000_000_000_000 + c * MIN
+        for i in range(rng.randint(1, 60)):
+            step = int(rng.choice([0, 1, 3, 8, 45])) if i else 0
+            if step > 30:  # a gap: the session closes at the last turn
+                sess.append((f"c{c}", start, ts))
+                start = ts + step * MIN
+            ts += step * MIN
+            rows.append({"conv_id": f"c{c}", "turn_idx": i,
+                         "role": rng.choice(["user", "assistant", "system",
+                                             None]),
+                         "tool": rng.choice(["search", "", None]),
+                         "ts": ts, "session_start": start})
+        sess.append((f"c{c}", start, ts))
+    closed = [s for s in sess if rng.rand() < 0.8]  # the rest stay open
+    sessions = pa.table({
+        "conv_id": pa.array([s[0] for s in closed], pa.string()),
+        "session_start": pa.array([s[1] for s in closed], pa.int64()),
+        "session_end": pa.array([s[2] for s in closed], pa.int64())})
+
+    def turn_table(rs):
+        return pa.table({
+            "conv_id": pa.array([r["conv_id"] for r in rs], pa.string()),
+            "turn_idx": pa.array([r["turn_idx"] for r in rs], pa.int32()),
+            "role": pa.array([r["role"] for r in rs], pa.string()),
+            "tool": pa.array([r["tool"] for r in rs], pa.string()),
+            "ts": pa.array([r["ts"] for r in rs], pa.int64()).cast(
+                pa.timestamp("us")),
+            "session_start": pa.array([r["session_start"] for r in rs],
+                                      pa.int64())})
+
+    steps = [("role", "user"), ("role", "assistant"), ("tool", "search")]
+    emit = [(0, "turn_idx", "u"), (2, "turn_idx", "a"), (2, "tool", "tool")]
+    out_schema = pa.schema([("conv_id", pa.string()),
+                            ("session_start", pa.int64()),
+                            ("u", pa.int32()), ("a", pa.int32()),
+                            ("tool", pa.string())])
+    reduce = _pattern_reducer(ray.put(sessions), steps, emit, 20 * MIN,
+                              "conv_id", "turn_idx", "ts", out_schema)
+    # the stream side never sees session_start: it joins it on
+    turns = turn_table([rows[i] for i in rng.permutation(len(rows))])
+    got = reduce(turns.drop_columns(["session_start"]))
+    assert got.schema == out_schema
+
+    in_closed = {s[:2] for s in closed}
+    bt = turn_table([r for r in rows
+                     if (r["conv_id"], r["session_start"]) in in_closed])
+    want = collect_table(match_sequence(
+        ray.data.from_arrow(bt).repartition(2),
+        ["conv_id", "session_start"],
+        [("ts", "ascending"), ("turn_idx", "ascending")], steps, emit,
+        within="20m", ts_col="ts"))
+
+    def key(t):
+        return sorted(tuple(r.values())
+                      for r in t.select(out_schema.names).to_pylist())
+
+    assert key(got) == key(want)
+    assert got.num_rows > 0
+
+
 def test_gate_retraction_arbitrates_by_arrival_stamp(ray_session):
     """A retraction carrying an OLDER __arr stamp than the live copy must
     lose (replayed stale out-of-gate row), and one carrying a newer stamp

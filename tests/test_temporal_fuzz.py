@@ -321,3 +321,117 @@ def test_rolling_fuzz_vs_duckdb(ray_session, seed):
               ROWS BETWEEN 3 PRECEDING AND CURRENT ROW),
         w2 AS (PARTITION BY k ORDER BY rid)""").df()
     assert_same(mine2, orc2, f"rows_rolling seed={seed}")
+
+
+def _cell(v):
+    """A cell as a sortable token: NULL and NaN apart, -0.0 = 0.0."""
+    if v is None:
+        return (0, 0)
+    if isinstance(v, float):
+        return (1, 0) if v != v else (2, v + 0.0)
+    return (2, v)
+
+
+def _rows(obj, cols: list) -> list:
+    """The multiset of ``cols`` rows of a Dataset or Arrow table, in
+    Arrow (pandas would read NULL as NaN), timestamps as µs."""
+    if isinstance(obj, ray.data.Dataset):
+        obj = pa.concat_tables(ray.get(obj.to_arrow_refs()),
+                               promote_options="default")
+    obj = obj.select(cols)
+    obj = pa.table([c.cast(pa.timestamp("us"))
+                    if pa.types.is_timestamp(c.type) else c
+                    for c in obj.columns], names=cols)
+    return sorted(tuple(_cell(v) for v in r.values())
+                  for r in obj.to_pylist())
+
+
+def nan_null_events(seed: int, n: int) -> pa.Table:
+    """Float key ``f`` and float order column ``g`` drawn from NaN, NULL,
+    -0.0, 0.0 and two numbers; integer-valued ``v`` with NULLs."""
+    rng = np.random.RandomState(seed)
+    pool = [float("nan"), None, -0.0, 0.0, 1.5, 2.0]
+    return pa.table({
+        "f": pa.array([pool[i] for i in rng.randint(0, 6, n)], pa.float64()),
+        "g": pa.array([pool[i] for i in rng.randint(0, 6, n)], pa.float64()),
+        "ts": pa.array(rng.randint(0, 40, n).astype(np.int64) * 1_000_000
+                       ).cast(pa.timestamp("us")),
+        "rid": pa.array(np.arange(n, dtype=np.int64)),
+        "v": pa.array([None if rng.rand() < 0.15 else float(x)
+                       for x in rng.randint(0, 100, n)], pa.float64()),
+        "e": pa.array([None if x == 2 else "ab"[x]
+                       for x in rng.randint(0, 3, n)], pa.string()),
+    })
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_float_key_nan_null_partitions_vs_duckdb(ray_session, seed):
+    """A float key's NaN and NULL are separate partitions and separate
+    ORDER BY peers, -0.0 and 0.0 one, as in SQL (DuckDB): every sorted
+    per-key reducer takes its runs from ``sort_runs``."""
+    from paradedb_ray.pipelines.aggregate import (percentiles_agg,
+                                                  top_hits_agg)
+    from paradedb_ray.pipelines.windows import (match_sequence,
+                                                session_window, sessionize)
+
+    t = nan_null_events(400 + seed, 160)
+    con = duckdb.connect()
+    con.register("t", t)
+    ds = ray.data.from_arrow(t).repartition(3)
+
+    def same(mine, sql: str, cols: list, what: str):
+        assert _rows(mine, cols) == _rows(con.execute(sql).arrow(), cols), \
+            f"{what} seed={seed}"
+
+    same(partitioned_window(ds, ["f"], [("g", "ascending"),
+                                        ("rid", "ascending")],
+                            {"rn": ("row_number", None),
+                             "ch": ("changed", "g")}),
+         """SELECT rid, row_number() OVER w AS rn,
+              row_number() OVER w = 1 OR g IS DISTINCT FROM lag(g) OVER w
+                AS ch
+            FROM t WINDOW w AS (PARTITION BY f ORDER BY g, rid)""",
+         ["rid", "rn", "ch"], "row_number/changed")
+    same(partitioned_window(ds, ["f"], [("g", "ascending")],
+                            {"rk": ("rank", None),
+                             "dr": ("dense_rank", None)}),
+         """SELECT rid, rank() OVER w AS rk, dense_rank() OVER w AS dr
+            FROM t WINDOW w AS (PARTITION BY f ORDER BY g)""",
+         ["rid", "rk", "dr"], "rank/dense_rank")
+    same(percentiles_agg(ds, ["f"], "v", [50.0]),
+         "SELECT f, quantile_cont(v, 0.5) AS p50 FROM t GROUP BY f",
+         ["f", "p50"], "percentiles")
+    same(top_hits_agg(ds, ["f"], [("v", "descending"), ("rid", "ascending")],
+                      size=2, source_cols=["rid"]),
+         """SELECT * FROM (SELECT f, rid, row_number() OVER (PARTITION BY f
+              ORDER BY v DESC NULLS LAST, rid) AS hit_rank FROM t)
+            WHERE hit_rank <= 2""",
+         ["f", "hit_rank", "rid"], "top_hits")
+    same(time_rolling_window(ds, ["f"], "ts",
+                             {"c": ("count", "v"), "s": ("sum", "v")},
+                             window="9s"),
+         """SELECT rid, count(v) OVER w AS c, sum(v) OVER w AS s
+            FROM t WINDOW w AS (PARTITION BY f ORDER BY ts
+              RANGE BETWEEN INTERVAL 9 SECOND PRECEDING AND CURRENT ROW)""",
+         ["rid", "c", "s"], "time_rolling")
+    sessions = """SELECT *, sum(b) OVER (PARTITION BY f ORDER BY ts)::BIGINT
+                    AS session_id
+                  FROM (SELECT *, CASE WHEN ts - lag(ts) OVER (PARTITION BY f
+                    ORDER BY ts) > INTERVAL 5 SECOND THEN 1 ELSE 0 END AS b
+                  FROM t)"""
+    same(sessionize(ds, "f", "ts", "5s"), sessions,
+         ["rid", "session_id"], "sessionize")
+    same(session_window(ds, "ts", "f", "5s"),
+         f"""SELECT f, min(ts) AS session_start, max(ts) AS session_end,
+               count(*) AS n_events FROM ({sessions}) GROUP BY f, session_id""",
+         ["f", "session_start", "session_end", "n_events"], "session_window")
+    same(match_sequence(ds, "f", [("ts", "ascending"), ("rid", "ascending")],
+                        steps=[("e", "a"), ("e", "b")],
+                        emit=[(0, "rid", "r0"), (1, "rid", "r1")],
+                        within="6s", ts_col="ts"),
+         """SELECT f, r0, r1 FROM (SELECT f, e, ts, rid AS r0,
+              lead(rid) OVER w AS r1, lead(e) OVER w AS e1,
+              lead(ts) OVER w AS ts1
+            FROM t WINDOW w AS (PARTITION BY f ORDER BY ts, rid))
+            WHERE e = 'a' AND e1 = 'b' AND ts1 - ts <= INTERVAL 6 SECOND""",
+         ["f", "r0", "r1"], "match_sequence")
