@@ -517,11 +517,11 @@ def _q_rrf(sf):
 
 
 def _q_keyset_paging(sf):
-    from paradedb_ray.pipelines.relational import filter_batches
+    from paradedb_ray.pipelines.relational import filter_batches, topk_by
 
     o = _tbl(sf, "orders", columns=["o_orderkey", "o_totalprice"])
     o = filter_batches(o, lambda b: pc.greater(b.column("o_orderkey"), 100))
-    return o.sort(["o_orderkey"]).limit(20)
+    return topk_by(o, [("o_orderkey", "ascending")], 20)
 
 
 def _q_heap_filter(sf):
@@ -1020,9 +1020,8 @@ def _q_join_orderby_nulls(sf):
     j = broadcast_join(o, counts, on="o_orderkey",
                        right_on="l_orderkey", how="left",
                        right_columns=["n_big"])
-    return topk_by(j, [("n_big", "descending"),
+    return topk_by(j, [("n_big", "descending", "nulls_first"),
                        ("o_orderkey", "ascending")], 25,
-                   null_placement="at_start",
                    columns=["o_orderkey", "n_big"])
 
 

@@ -39,6 +39,7 @@ import ray
 import ray.data
 
 from paradedb_ray.stages.blocks import cluster_cpus, collect_table
+from paradedb_ray.stages.order import order_dataset
 
 _WS = re.compile(r"\S+")
 _VOCAB_SCHEMA = pa.schema([("token", pa.string()), ("freq", pa.int64())])
@@ -76,12 +77,6 @@ def _explode(batch: pa.Table, text_col: str) -> pa.Table:
     })
 
 
-def _head(tbl: pa.Table, v: int) -> pa.Table:
-    idx = pa.compute.sort_indices(
-        tbl, sort_keys=[("freq", "descending"), ("token", "ascending")])
-    return tbl.take(idx[:v])
-
-
 def build_token_vocab(ds: ray.data.Dataset, text_col: str,
                       top_v: int = 4096) -> pa.Table:
     """Global top-``top_v`` whitespace tokens by corpus count, as an
@@ -92,9 +87,9 @@ def build_token_vocab(ds: ray.data.Dataset, text_col: str,
                          batch_format="pyarrow", batch_size=None)
     counts = hash_group_aggregate(tok, ["token"],
                                   {"freq": ("sum", "freq")})
-    heads = counts.map_batches(_head, fn_kwargs={"v": top_v},
-                               batch_format="pyarrow", batch_size=None)
-    return _head(collect_table(heads, _VOCAB_SCHEMA), top_v)
+    return collect_table(order_dataset(
+        counts, [("freq", "descending"), ("token", "ascending")], top_v,
+        schema=_VOCAB_SCHEMA))
 
 
 def _explode_tf(batch: pa.Table, text_col: str, key_col: str) -> pa.Table:

@@ -75,6 +75,12 @@ class Segment:
     _json_cache: dict = dfield(default_factory=dict)
     _vec_cache: dict = dfield(default_factory=dict)
 
+    def __getstate__(self) -> dict:
+        """Pickle without the derived per-segment caches: a checkpoint or
+        a task argument carries the index only, the live segment keeps
+        its caches, and an unpickled copy starts with empty ones."""
+        return {**self.__dict__, "_json_cache": {}, "_vec_cache": {}}
+
     def column(self, name: str) -> pa.ChunkedArray:
         return self.table.column(name)
 

@@ -13,6 +13,7 @@ hash shuffle, one merge per partition.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
@@ -25,8 +26,9 @@ from paradedb_ray.query import ast
 from paradedb_ray.schema import IndexSchema
 from paradedb_ray.stages.blocks import (cluster_cpus, collect_table,
                                         tree_reduce_refs)
-from paradedb_ray.stages.hash_agg import (hash_partition_apply, row_changes,
-                                          run_offsets, sort_runs)
+from paradedb_ray.stages.hash_agg import hash_partition_apply
+from paradedb_ray.stages.order import (group_heads, order_dataset, rank_head,
+                                       row_changes, run_offsets, sort_runs)
 
 
 def sql_aggregate(
@@ -296,19 +298,6 @@ def _derive_json_path_fields(ds, schema, agg_json):
     return ds.map_batches(derive, batch_format="pyarrow")
 
 
-def _sort_null_safe(out: ray.data.Dataset, keys: list,
-                    descending=None) -> ray.data.Dataset:
-    """Sort with NULL string keys sentinel-encoded through Ray's
-    range-partitioned sort (it samples object-dtype blocks and cannot
-    order None among strings); decoded back to NULL after."""
-    enc = out.map_batches(_sentinel_encode, fn_kwargs={"cols": keys},
-                          batch_format="pyarrow", batch_size=None)
-    s = (enc.sort(keys, descending=descending) if descending is not None
-         else enc.sort(keys))
-    return s.map_batches(_sentinel_decode, fn_kwargs={"cols": keys},
-                         batch_format="pyarrow", batch_size=None)
-
-
 def pdb_agg(
     ds: ray.data.Dataset,
     agg_json: dict,
@@ -389,9 +378,8 @@ def pdb_agg(
             sql_aggregate(_apply_derived(ds, ex), key_cols, metric_aggs),
             bucket_limit, ds0, key_cols, metric_aggs, key_types,
             memory_limit=memory_limit)
-        fin = _finish_extended(out, ex)
-        # Ray's sort drops the schema again on zero rows — skip it
-        return fin if out.count() == 0 else _sort_null_safe(fin, key_cols)
+        return order_dataset(_finish_extended(out, ex),
+                             [(c, "ascending") for c in key_cols])
 
     pcts = {n: s for n, s in sub.items() if "percentiles" in s}
     if pcts:
@@ -418,10 +406,10 @@ def pdb_agg(
                 percents=list(pb.get("percents", (25.0, 50.0, 75.0, 95.0))),
                 prefix=f"{mname}_p").to_pandas()
             base = base.merge(pt, on=key_col, how="left")
-        size = body.get("size", 10)
-        base = base.sort_values(["doc_count", key_col],
-                                ascending=[False, True]).head(size)
-        return ray.data.from_pandas(base.reset_index(drop=True))
+        return ray.data.from_arrow(rank_head(
+            pa.Table.from_pandas(base, preserve_index=False),
+            [("doc_count", "descending"), (key_col, "ascending")],
+            body.get("size", 10)))
 
     th = {n: s for n, s in sub.items() if "top_hits" in s}
     if th:
@@ -455,12 +443,9 @@ def pdb_agg(
         grouped = _guard_buckets(sql_aggregate(ds, [key_col], aggs),
                                  bucket_limit, ds, [key_col], aggs,
                                  memory_limit=memory_limit)
-        size = body.get("size", 10)
-        fin = _finish_extended(grouped, ex)
-        if grouped.count() == 0:  # sort/limit lose the schema on empty
-            return fin
-        return _sort_null_safe(fin, ["doc_count", key_col],
-                               descending=[True, False]).limit(size)
+        return order_dataset(_finish_extended(grouped, ex),
+                             [("doc_count", "descending"),
+                              (key_col, "ascending")], body.get("size", 10))
     if kind == "histogram":
         interval = float(body["interval"])
         offset = float(body.get("offset", 0.0))
@@ -475,8 +460,8 @@ def pdb_agg(
                              bucket_limit, ds, [f"{name}_key"], aggs,
                              {f"{name}_key": pa.float64()},
                              memory_limit=memory_limit)
-        fin = _finish_extended(out, ex)
-        return fin if out.count() == 0 else fin.sort([f"{name}_key"])
+        return order_dataset(_finish_extended(out, ex),
+                             [(f"{name}_key", "ascending")])
     if kind == "date_histogram":
         bucketize = _date_hist_bucketizer(field, f"{name}_key", body)
         ds2 = ds.map_batches(bucketize, batch_format="pyarrow", batch_size=None)
@@ -484,8 +469,8 @@ def pdb_agg(
                              bucket_limit, ds, [f"{name}_key"], aggs,
                              {f"{name}_key": pa.timestamp("us")},
                              memory_limit=memory_limit)
-        fin = _finish_extended(out, ex)
-        return fin if out.count() == 0 else fin.sort([f"{name}_key"])
+        return order_dataset(_finish_extended(out, ex),
+                             [(f"{name}_key", "ascending")])
     if kind == "range":
         ranges = body["ranges"]
 
@@ -504,9 +489,8 @@ def pdb_agg(
                              bucket_limit, ds, [f"{name}_key"], aggs,
                              {f"{name}_key": pa.string()},
                              memory_limit=memory_limit)
-        fin = _finish_extended(out, ex)
-        return fin if out.count() == 0 else _sort_null_safe(
-            fin, [f"{name}_key"])
+        return order_dataset(_finish_extended(out, ex),
+                             [(f"{name}_key", "ascending")])
     raise ValueError(f"unsupported bucket kind {kind}")
 
 
@@ -643,8 +627,9 @@ def _pdb_agg_flat(ds: ray.data.Dataset, agg_json: dict,
     combined = pd.concat(frames, ignore_index=True).reindex(columns=cols)
     combined["doc_count"] = combined["doc_count"].astype("int64")
     sort_cols = ["agg_name"] + [f"key_{i + 1}" for i in range(max_depth)]
-    combined = combined.sort_values(sort_cols).reset_index(drop=True)
-    return ray.data.from_pandas(combined)
+    return ray.data.from_arrow(rank_head(
+        pa.Table.from_pandas(combined, preserve_index=False),
+        [(c, "ascending") for c in sort_cols], None))
 
 
 def _expand_metric(aggs: dict, mname: str, mspec: dict,
@@ -1141,23 +1126,18 @@ def top_hits_agg(
     order = [(c, d if d in ("ascending", "descending") else "ascending")
              for c, d in sort]
 
-    def _topn(t: pa.Table, final: bool) -> pa.Table:
-        t, start = sort_runs(t, group_by, order)
-        pos = run_offsets(start)
-        mask = pos < size
-        t = t.filter(pa.array(mask))
-        if not final:
-            return t
-        t = t.append_column("hit_rank", pa.array(pos[mask] + 1, pa.int64()))
+    head = functools.partial(group_heads, keys=group_by, order_by=order,
+                             limit=size)
+
+    def final(t: pa.Table) -> pa.Table:
+        t = head(t, rank_col="hit_rank")
         keep = (group_by + ["hit_rank"]
                 + [c for c in (source_cols or t.column_names)
                    if c not in group_by and c != "hit_rank"])
         return t.select([c for c in dict.fromkeys(keep)
                          if c in t.column_names])
 
-    return hash_partition_apply(ds, group_by,
-                                reduce_fn=lambda t: _topn(t, True),
-                                pre_fn=lambda t: _topn(t, False))
+    return hash_partition_apply(ds, group_by, reduce_fn=final, pre_fn=head)
 
 
 def facet_terms(ds: ray.data.Dataset, field: str, size: Optional[int] = None,
@@ -1165,8 +1145,8 @@ def facet_terms(ds: ray.data.Dataset, field: str, size: Optional[int] = None,
     """Terms facet: value -> doc count, count desc (ties by key asc)."""
     out = sql_aggregate(ds, [field], {"doc_count": ("count_star", None)},
                         schema=schema, filter_query=filter_query)
-    out = out.sort(["doc_count", field], descending=[True, False])
-    return out.limit(size) if size else out
+    return order_dataset(out, [("doc_count", "descending"),
+                               (field, "ascending")], size or None)
 
 
 def partitioned_window(

@@ -701,7 +701,8 @@ def ngram_jaccard_duplicates(
                                   dedup=False)
     # distinct (key, dup_of): two-stage hash dedup — pairs ≈ dups only
     from paradedb_ray.stages.hash_agg import (hash_group_aggregate,
-                                              hash_partition_apply, sort_runs)
+                                              hash_partition_apply)
+    from paradedb_ray.stages.order import sort_runs
 
     pairs = hash_group_aggregate(pairs, [key_col, "dup_of"], {})
     pairs = pairs.materialize()  # tiny: candidate pairs only

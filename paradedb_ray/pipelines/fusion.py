@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 import pyarrow as pa
 
-from paradedb_ray.stages.hash_agg import row_changes, run_offsets
+from paradedb_ray.stages.order import row_changes, run_offsets
 
 
 def _to_table(x) -> pa.Table:

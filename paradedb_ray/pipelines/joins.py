@@ -315,7 +315,8 @@ def asof_join(
     import numpy as np
     import pyarrow.compute as pc
 
-    from paradedb_ray.stages.hash_agg import hash_partition_apply, sort_runs
+    from paradedb_ray.stages.hash_agg import hash_partition_apply
+    from paradedb_ray.stages.order import sort_runs
 
     if direction not in ("backward", "forward"):
         raise ValueError(direction)

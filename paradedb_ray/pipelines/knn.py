@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray
 import ray.data
 
 from paradedb_ray.query.parser import bind
-from paradedb_ray.stages.blocks import (chunk_refs, merge_blocks,
-                                        tree_reduce_refs)
+from paradedb_ray.stages.blocks import concat_blocks, tree_reduce_refs
+from paradedb_ray.stages.order import order_dataset, rank_head
 
 
 def _batch_matrix(batch: pa.Table, emb_col: str,
@@ -97,28 +96,11 @@ class _BruteScorer:
 
 def _merge_topk(scored: ray.data.Dataset, key_col: str,
                 k: int) -> ray.data.Dataset:
-    """Global per-query top-k over per-block partials.
-
-    Per-block outputs are already <= k rows per query, so a groupby-head
-    over the concatenated partials beats Ray's all-to-all sort shuffle —
-    and at high block counts a chunked level-1 keep (O(CPUs) raw tasks,
-    each chunk's per-query head is a superset of its contribution to the
-    global head) bounds the final merge to <= chunks x k x |queries|
-    rows instead of blocks x k x |queries|."""
-    def topk_tbl(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        df = df.sort_values(["query_id", "score", key_col],
-                            ascending=[True, False, True])
-        out = df.groupby("query_id", sort=True).head(k).reset_index(
-            drop=True)
-        return pa.Table.from_pandas(out, preserve_index=False
-                                    ).cast(t.schema)
-
-    refs = scored.to_arrow_refs()
-    chunks = chunk_refs(refs)
-    if len(chunks) < len(refs):
-        refs = [merge_blocks.remote(topk_tbl, *ch) for ch in chunks]
-    return ray.data.from_arrow_refs([merge_blocks.remote(topk_tbl, *refs)])
+    """Global per-query top-k over the scorers' per-block heads (each
+    <= k rows per query), merged by the one distributed ORDER BY."""
+    return order_dataset(scored, [("score", "descending"),
+                                  (key_col, "ascending")], k,
+                         keys=["query_id"])
 
 
 def knn_brute(
@@ -157,10 +139,11 @@ def _merge_sample_parts(sample_size: int, *tabs: pa.Table) -> pa.Table:
     without replacement — associative under min-k merge).  ALWAYS sorted
     by priority: block arrival order is not deterministic under load, so
     the canonical priority order is what makes the sample (and the
-    k-means seeded from it) a pure function of (corpus, seed)."""
-    t = pa.concat_tables(tabs, promote_options="default")
-    idx = pc.sort_indices(t, sort_keys=[("__pri", "ascending")])
-    return t.take(idx[:sample_size])
+    k-means seeded from it) a pure function of (corpus, seed).  A tree
+    of fan-in 32, not ``order_dataset``'s O(CPUs)-wide final merge: the
+    sample is thousands of vectors per child."""
+    return rank_head(concat_blocks(tabs), [("__pri", "ascending")],
+                     sample_size)
 
 
 def _centroid_sample(ds: ray.data.Dataset, emb_col: str,
@@ -483,7 +466,7 @@ def filtered_knn(
 ) -> ray.data.Dataset:
     """`WHERE <filter> @@@ ... ORDER BY vec <op> q LIMIT k` as a Ray Data
     pipeline: block-local filter + distance top-k, then a tiny global
-    (distance, key) sort over <= k x blocks rows.  ``op`` is a pgvector
+    (distance, key) merge over <= k x blocks rows.  ``op`` is a pgvector
     operator (`<->` l2 / `<=>` cosine / `<#>` negative inner product) or
     a metric name; a mismatch with the schema's declared opclass metric
     still returns exact results (full-sort fallback semantics,
@@ -494,4 +477,5 @@ def filtered_knn(
     stage = _FilteredKnnStage(schema, vec_field, ray.put(q), op, k,
                               key_col, filter_query)
     local = ds.map_batches(stage, batch_format="pyarrow", batch_size=None)
-    return local.sort(["distance", key_col]).limit(k)
+    return order_dataset(local, [("distance", "ascending"),
+                                 (key_col, "ascending")], k)

@@ -4,13 +4,14 @@ with pyarrow.compute kernels inside map_batches)."""
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Optional
 
 import pyarrow as pa
 
 import ray.data
 
-from paradedb_ray.stages.blocks import chunk_refs, merge_blocks
+from paradedb_ray.stages.order import group_heads, order_dataset
 
 
 def filter_batches(ds: ray.data.Dataset,
@@ -35,51 +36,25 @@ def distinct(ds: ray.data.Dataset, columns: list) -> ray.data.Dataset:
 
 
 def topk_by(ds: ray.data.Dataset, sort_keys: list, limit: int,
-            null_placement: str = "at_end",
             columns: Optional[list] = None) -> ray.data.Dataset:
     """Distributed ``ORDER BY ... LIMIT k`` over arbitrary (incl. derived
     /join-output) columns — the JoinScan ORDER-BY + top-k dynamic-filter
     shape (ref `pg_regress/sql/join_order_by.sql`,
     `join_orderby_expression.sql`) without requiring a search index.
 
-    ``sort_keys``: [(col, "ascending"|"descending"), ...] — pass a total
-    order (add a tie-break key) for deterministic output.
-    ``null_placement``: "at_end" (SQL ASC NULLS LAST) or "at_start"
-    (DESC NULLS FIRST), applied to every key.
+    ``sort_keys``: [(col, "ascending"|"descending"[, "nulls_first"]),
+    ...] (``rank_head``'s extended keys) — pass a total order (add a
+    tie-break key) for deterministic output.
 
     Scale shape: each block keeps its own top-k (a superset of its
-    contribution to the global head), per-block heads merge in O(CPUs)
-    chunked raw tasks (`blocks.chunk_refs`), and only the final <=
-    chunks x k rows meet for the exact global sort — never an all-to-all
-    sort shuffle."""
-    import pyarrow.compute as pc
-
-    keys = [(c, d) for c, d in sort_keys]
-
-    def head(t: pa.Table) -> pa.Table:
-        if t.num_rows > 0:
-            idx = pc.sort_indices(t, sort_keys=keys,
-                                  null_placement=null_placement)
-            t = t.take(idx[:limit])
-        return t
-
-    pruned = ds.map_batches(head, batch_format="pyarrow", batch_size=None)
-    refs = pruned.to_arrow_refs()
-    if not refs:
-        # zero-block input (e.g. limit(0)): an empty RESULT, not a crash
-        sch = pruned.schema(fetch_if_missing=False)
-        if sch is None:
-            return pruned
-        empty = pa.schema(list(zip(sch.names, sch.types))).empty_table()
-        return ray.data.from_arrow_refs(
-            [ray.put(empty.select(columns) if columns else empty)])
-    chunks = chunk_refs(refs)
-    if len(chunks) < len(refs):
-        refs = [merge_blocks.remote(head, *ch) for ch in chunks]
-    # the projection runs AFTER the final merge so sort columns (possibly
-    # derived expressions) stay available to every re-sort along the tree
-    fin = (lambda t: head(t).select(columns)) if columns else head
-    return ray.data.from_arrow_refs([merge_blocks.remote(fin, *refs)])
+    contribution to the global head), then ``order_dataset`` merges the
+    heads — never an all-to-all sort shuffle.  The projection runs after
+    the final merge, so sort columns (possibly derived expressions) stay
+    available to every merge."""
+    pruned = ds.map_batches(group_heads, fn_kwargs={
+        "keys": (), "order_by": sort_keys, "limit": limit},
+        batch_format="pyarrow", batch_size=None)
+    return order_dataset(pruned, sort_keys, limit, columns=columns)
 
 
 def topn_per_group(ds: ray.data.Dataset, keys: list, order_by: list,
@@ -90,42 +65,16 @@ def topn_per_group(ds: ray.data.Dataset, keys: list, order_by: list,
     Scale shape: each block first prunes to at most ``n`` rows per key it
     contains (a superset of that block's contribution to the answer — the
     combiner), so the hash-partition shuffle moves O(n x keys) rows, not
-    the full input; each reducer then runs the same prune exactly once
-    per key.  ``order_by`` must be a TOTAL order (include a unique
-    tie-break column) for a deterministic result.  ``rn_col`` optionally
-    adds the 1-based in-group position to the output."""
-    import numpy as np
-
-    ob_cols = [c for c, _ in order_by]
-    asc = [d != "descending" for _, d in order_by]
-
-    def prune(t: pa.Table, with_rn: bool = False) -> pa.Table:
-        if t.num_rows == 0:
-            # empty partitions must carry the rn column too, or the
-            # final union loses the schema at tiny scale
-            if with_rn and rn_col is not None:
-                return t.append_column(rn_col, pa.array([], pa.int64()))
-            return t
-        df = t.to_pandas()
-        df = df.sort_values(ob_cols, ascending=asc, kind="mergesort")
-        g = df.groupby(keys, sort=False, dropna=False)
-        if with_rn and rn_col is not None:
-            df[rn_col] = (g.cumcount() + 1).astype(np.int64)
-            df = df[df[rn_col] <= n]
-            # explicit schema: to_pandas turns nullable int64 into
-            # float64, and WITHOUT the cast only partitions that happen
-            # to contain a null degrade — inconsistent block schemas
-            return pa.Table.from_pandas(
-                df, preserve_index=False,
-                schema=t.schema.append(pa.field(rn_col, pa.int64())))
-        df = g.head(n)
-        return pa.Table.from_pandas(df, preserve_index=False,
-                                    schema=t.schema)
-
+    the full input; each reducer then takes the same heads once per key
+    (``group_heads``).  ``order_by`` must be a TOTAL order (include a
+    unique tie-break column) for a deterministic result.  ``rn_col``
+    optionally adds the 1-based in-group position to the output."""
     from paradedb_ray.stages.hash_agg import hash_partition_apply
 
+    head = functools.partial(group_heads, keys=keys, order_by=order_by,
+                             limit=n)
     return hash_partition_apply(
-        ds, keys, lambda t: prune(t, with_rn=True), pre_fn=prune)
+        ds, keys, functools.partial(head, rank_col=rn_col), pre_fn=head)
 
 
 def unpivot(ds: ray.data.Dataset, id_cols: list, value_cols: list,

@@ -14,7 +14,6 @@ one-query case and ``search_topk_multi`` its many-query case.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from typing import Optional, Sequence, Union
 
 import pyarrow as pa
@@ -26,15 +25,15 @@ from paradedb_ray.query import ast
 from paradedb_ray.query.parser import bind
 from paradedb_ray.schema import IndexSchema
 from paradedb_ray.stages import search_stages
-from paradedb_ray.stages.blocks import (chunk_refs, concat_blocks,
-                                        merge_blocks, tree_reduce_refs)
-from paradedb_ray.stages.hash_agg import run_offsets, sort_runs
+from paradedb_ray.stages.blocks import (chunk_refs, collect_table,
+                                        dataset_schema, merge_blocks)
+from paradedb_ray.stages.order import (order_dataset, rank_head, run_offsets,
+                                       sort_runs)
 from paradedb_ray.stages.search_stages import (QueryPacketBuilder,
                                                SegmentScorer,
                                                _merge_stats_parts,
                                                compute_global_stats,
-                                               needs_positions,
-                                               query_vocab, rank_head,
+                                               needs_positions, query_vocab,
                                                single_scan_terms, terms_facet)
 
 
@@ -173,14 +172,6 @@ def search(
     return ds.map_batches(scorer, batch_format="pyarrow", batch_size=None)
 
 
-def _arrow_schema(ds) -> pa.Schema:
-    sch = ds.schema()
-    base = getattr(sch, "base_schema", None)
-    if isinstance(base, pa.Schema):
-        return base
-    return pa.schema(list(zip(sch.names, sch.types)))
-
-
 def _result_schema(base, columns, with_score: bool, snippet_cfgs=None):
     """The exact Arrow schema the top-k scorer emits: base columns
     (+``score`` f32, +snippet columns typed by mode), restricted to
@@ -259,17 +250,6 @@ def _single_scan_scored(ds, schema: IndexSchema, queries: dict, columns,
         [merge_blocks.remote(score, *ch) for ch in chunks])
 
 
-def _query_heads(b: pa.Table, order_by, limit: int, offset: int = 0,
-                 columns: Optional[list] = None) -> pa.Table:
-    """Each query's ``rank_head`` of ``b``, query groups in order of first
-    appearance, projected to ``columns`` when given."""
-    qids = b.column("query_id")
-    heads = [rank_head(b.filter(pc.equal(qids, q)), order_by, limit, offset)
-             for q in pc.unique(qids).to_pylist()]
-    out = pa.concat_tables(heads) if heads else b
-    return out.select(columns) if columns is not None else out
-
-
 def _topk(ds, schema: IndexSchema, queries: dict, limit: int, order_by, *,
           offset: int = 0, with_score: bool = True, snippet_cfgs=None,
           output_columns=None, stats=None,
@@ -292,8 +272,8 @@ def _topk(ds, schema: IndexSchema, queries: dict, limit: int, order_by, *,
     want_score = with_score or "score" in sort_cols
     columns = (None if output_columns is None
                else list(dict.fromkeys(list(output_columns) + sort_cols)))
-    rank_schema = _result_schema(_arrow_schema(ds), columns, want_score,
-                                 snippet_cfgs)
+    rank_schema = _result_schema(dataset_schema(ds, fetch=True), columns,
+                                 want_score, snippet_cfgs)
     final_cols = (list(output_columns) if output_columns is not None
                   else rank_schema.names[:-1])
     if query_id:
@@ -331,25 +311,13 @@ def _topk(ds, schema: IndexSchema, queries: dict, limit: int, order_by, *,
         scored = scored.union(extra)
 
     # Merge-rank: the per-block prune already bounds the candidate set to
-    # <= need x blocks x |queries| rows, so the global ORDER BY is ONE raw
-    # merge task over single-block Arrow sorts — ds.stats() showed Ray's
+    # <= need x blocks x |queries| rows, so the global ORDER BY is one
+    # raw merge over single-block Arrow sorts — ds.stats() showed Ray's
     # two-phase SortMap/SortReduce shuffle costing ~75% of a small
-    # query's wall time on a few hundred pruned rows.  The anchor empty
-    # table rides along so an all-empty result keeps its schema.  At high
-    # block counts one task taking one arg per block is itself a growth
-    # term: chunk to O(CPUs) level-1 keeps first — every globally-top row
-    # is within its chunk's per-query top offset+limit, so the final
-    # merge is unchanged.
-    refs = scored.to_arrow_refs()
-    empty_ref = ray.put(rank_schema.empty_table())
-    chunks = chunk_refs(refs)
-    if len(chunks) < len(refs):
-        keep = functools.partial(_query_heads, order_by=order_by, limit=need)
-        refs = [merge_blocks.remote(keep, empty_ref, *ch) for ch in chunks]
-    final = functools.partial(_query_heads, order_by=order_by, limit=limit,
-                              offset=offset, columns=final_cols)
-    return ray.data.from_arrow_refs(
-        [merge_blocks.remote(final, empty_ref, *refs)])
+    # query's wall time on a few hundred pruned rows.
+    return order_dataset(scored, order_by, limit, offset=offset,
+                         keys=["query_id"], columns=final_cols,
+                         schema=rank_schema)
 
 
 def search_topk(
@@ -457,7 +425,7 @@ def search_topk_with_facet(
     `TopKAuxiliaryCollector`, `index/reader/index.rs:330-343` +
     `topk-agg-facet.sql`): each block emits its pruned candidates AND its
     facet partial as tagged rows; both outputs are tiny, so the fan-out is
-    a driver-side split, not a second scan.  Returns
+    a split of the scored blocks, not a second scan.  Returns
     ``(topk pa.Table, facet pa.Table)``."""
     import numpy as np
 
@@ -470,8 +438,8 @@ def search_topk_with_facet(
                         + [facet_field])
     scorer = SegmentScorer(schema, {"q": query},
                            compute_global_stats(ds, schema, query))
-    # hit partials carry the ORDER BY columns up the tree; the root
-    # projects to ``output_columns``
+    # block heads carry the ORDER BY columns to the final merge; the
+    # result projects to ``output_columns``
     keep = (list(dict.fromkeys(list(output_columns) + sort_cols))
             if output_columns else None)
 
@@ -481,7 +449,7 @@ def search_topk_with_facet(
         return hits.select([c for c in cols if c in hits.column_names])
 
     # partials ride as an ARROW-NATIVE tagged-row table (no pickle:
-    # zero-copy through plasma at any fan-in, VERDICT r4 nit #4):
+    # zero-copy through plasma, VERDICT r4 nit #4):
     # __kind 0 rows are pruned top-k candidates (hit columns; facet
     # helpers null), __kind 1 rows are facet partials (__fv value,
     # __fn count; hit columns null) — concat with promotion builds the
@@ -506,59 +474,32 @@ def search_topk_with_facet(
         return _tag(project(hits, keep), vc.field("values"),
                     vc.field("counts").cast(pa.int64()))
 
-    # O(log B) tree of merge tasks, not a driver loop (VERDICT r2 #5).
-    # Each node merges <=32 children: concat hit partials IN CHILD ORDER,
-    # stable-sort, take(limit), hash-sum facet partials — hierarchical
-    # stable top-k is exact and tie-identical to the flat concat+sort
-    # because every element of the flat top-k is within its node's
-    # top-limit and stable sorts preserve first-occurrence order among
-    # equal keys.
-    helper_cols = ["__fv", "__fn", "__kind"]
-
-    @ray.remote
-    def merge_parts(*tabs: pa.Table) -> pa.Table:
-        t = concat_blocks(tabs)
+    def rows_of(t: pa.Table, kind: int) -> pa.Table:
         if "__kind" not in t.column_names:
             return t
-        kind = t.column("__kind")
-        hits = t.filter(pc.equal(kind, 0)).drop_columns(
-            [c for c in helper_cols if c in t.column_names])
-        if hits.num_rows:
-            # sort EVERY level (even under limit): level-wise stable
-            # sorts keep tie order identical to the flat concat+sort at
-            # any tree shape
-            hits = rank_head(hits, order_by, limit)
-        facet = t.filter(pc.equal(kind, 1)).select(["__fv", "__fn"])
-        agg = facet.group_by(["__fv"], use_threads=False).aggregate(
-            [("__fn", "sum")])
-        return _tag(hits, agg.column("__fv").combine_chunks(),
-                    agg.column("__fn_sum").combine_chunks().cast(
-                        pa.int64()))
+        t = t.filter(pc.equal(t.column("__kind"), kind))
+        return (t.drop_columns(["__fv", "__fn", "__kind"]) if kind == 0
+                else t.select(["__fv", "__fn"]))
 
-    refs = tree_reduce_refs(
-        ds.map_batches(score_block, batch_format="pyarrow",
-                       batch_size=None).to_arrow_refs(),
-        merge_parts)
-    if refs:
-        # one more merge over the root: the single-leaf case arrives here
-        # unmerged (and a final exact sort+limit runs); re-merging an
-        # already-merged root is a no-op
-        final = ray.get(merge_parts.remote(refs[0]))
-    else:
-        final = pa.table({})
-    if "__kind" in final.column_names:
-        kind = final.column("__kind")
-        topk = final.filter(pc.equal(kind, 0)).drop_columns(
-            [c for c in helper_cols if c in final.column_names])
-        if topk.num_rows:
-            topk = rank_head(topk, order_by, limit)
-        topk = project(topk, output_columns)
-        ft = final.filter(pc.equal(kind, 1))
-        facet_counts = dict(zip(ft.column("__fv").to_pylist(),
-                                ft.column("__fn").to_pylist()))
-    else:
-        topk, facet_counts = pa.table({}), {}
-    return topk, terms_facet(facet_field, [facet_counts])
+    # the one scoring pass, kept: its block heads merge through the one
+    # distributed ORDER BY, its facet partials sum after the collect
+    tagged = ds.map_batches(score_block, batch_format="pyarrow",
+                            batch_size=None).materialize()
+
+    def part(kind: int):
+        return tagged.map_batches(rows_of, fn_kwargs={"kind": kind},
+                                  batch_format="pyarrow", batch_size=None)
+
+    topk = project(collect_table(order_dataset(part(0), order_by, limit)),
+                   output_columns)
+    ft = collect_table(part(1))
+    counts = {}
+    if ft.num_rows:
+        agg = ft.group_by(["__fv"], use_threads=False).aggregate(
+            [("__fn", "sum")])
+        counts = dict(zip(agg.column("__fv").to_pylist(),
+                          agg.column("__fn_sum").to_pylist()))
+    return topk, terms_facet(facet_field, [counts])
 
 
 def search_count(

@@ -21,7 +21,8 @@ import pyarrow.compute as pc
 import ray.data
 
 from paradedb_ray.pipelines.aggregate import sql_aggregate, _parse_fixed_interval
-from paradedb_ray.stages.hash_agg import hash_partition_apply, sort_runs
+from paradedb_ray.stages.hash_agg import hash_partition_apply
+from paradedb_ray.stages.order import order_dataset, sort_runs
 
 
 def _ts_us(batch: pa.Table, ts_col: str) -> np.ndarray:
@@ -50,7 +51,8 @@ def tumbling_window(
 
     ds2 = ds.map_batches(assign, batch_format="pyarrow", batch_size=None)
     group = [window_col] + list(keys or [])
-    return sql_aggregate(ds2, group, aggs).sort(group)
+    return order_dataset(sql_aggregate(ds2, group, aggs),
+                         [(c, "ascending") for c in group])
 
 
 def sliding_window(
@@ -83,7 +85,8 @@ def sliding_window(
 
     ds2 = ds.map_batches(expand, batch_format="pyarrow", batch_size=None)
     group = [window_col] + list(keys or [])
-    return sql_aggregate(ds2, group, aggs).sort(group)
+    return order_dataset(sql_aggregate(ds2, group, aggs),
+                         [(c, "ascending") for c in group])
 
 
 def session_window(

@@ -10,7 +10,8 @@ that drops them, and :func:`collect_table` is the one driver-side collect
 
 ``Dataset.to_arrow_refs()`` block ORDER is not stable under load: any
 order-sensitive consumer of these helpers canonicalizes after collecting
-(top-k merges re-sort, stats merges commute).
+(top-k merges re-sort, stats merges commute).  The distributed ORDER BY
+over these helpers is ``stages/order.py::order_dataset``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,17 @@ def concat_blocks(tabs, schema: Optional[pa.Schema] = None) -> pa.Table:
     return tabs[0] if len(tabs) else pa.table({})
 
 
+def dataset_schema(ds, fetch: bool = False) -> Optional[pa.Schema]:
+    """A Dataset's Arrow schema, or None when it has none.  Without
+    ``fetch`` only what Ray already knows is read (call it after the
+    Dataset has executed)."""
+    s = ds.schema(fetch_if_missing=fetch)
+    base = getattr(s, "base_schema", None)
+    if isinstance(base, pa.Schema):
+        return base
+    return None if s is None else pa.schema(list(zip(s.names, s.types)))
+
+
 def collect_table(ds, schema: Optional[pa.Schema] = None) -> pa.Table:
     """Collect a Dataset to the driver as one table: ONE batched
     ``ray.get`` over its blocks (a per-ref loop serializes on the
@@ -53,12 +65,7 @@ def collect_table(ds, schema: Optional[pa.Schema] = None) -> pa.Table:
     ``schema``'s empty table, else the Dataset's own schema's."""
     tabs = ray.get(ds.to_arrow_refs())
     if schema is None and not any(t.num_rows for t in tabs):
-        s = ds.schema(fetch_if_missing=False)
-        base = getattr(s, "base_schema", None)
-        if isinstance(base, pa.Schema):
-            schema = base
-        elif s is not None:
-            schema = pa.schema(list(zip(s.names, s.types)))
+        schema = dataset_schema(ds)
     return concat_blocks(tabs, schema)
 
 

@@ -7,9 +7,10 @@ shuffle, and its row-routing sibling.
 * :func:`hash_partition_apply` routes whole rows by key hash to a
   caller's per-partition reduce (windows, joins, percentiles, dedup
   verification).
-* :func:`sort_runs` / :func:`row_changes` are those reducers' one run
-  kernel: a stable sort on the key, then the rows where the key changes,
-  NULL- and NaN-safe (NULL = NULL, NaN = NaN, NaN != NULL).
+* those reducers take their runs from ``stages/order.py``
+  (:func:`sort_runs` / :func:`row_changes`, re-exported here): a stable
+  sort on the key, then the rows where the key changes, NULL- and
+  NaN-safe (NULL = NULL, NaN = NaN, NaN != NULL).
 
 Ray Data's native ``groupby().aggregate()`` routes through a sort-based
 (or actor-pool hash) shuffle whose constant factors dwarf the actual
@@ -55,6 +56,8 @@ import ray
 import ray.data
 
 from paradedb_ray.stages.blocks import cluster_cpus, concat_blocks
+from paradedb_ray.stages.order import (row_changes, run_offsets,  # noqa: F401
+                                       sort_runs)
 
 
 #: above this many input blocks, neighbor blocks coalesce first so the
@@ -368,47 +371,3 @@ def hash_partition_apply(
     return ray.data.from_arrow_refs(_shuffle(
         blocks, _template(sch), _num_partitions(num_partitions),
         _rows_split, (key_cols, pre_fn), _apply_final, (reduce_fn,)))
-
-
-def row_changes(t: pa.Table, cols: list) -> np.ndarray:
-    """True at row 0 and wherever any of ``cols`` differs from the row
-    before: the run starts of a table sorted on ``cols``.  NULL equals
-    NULL, NaN equals NaN, a NaN is not a NULL, and -0.0 equals 0.0, as
-    SQL partitions and peers compare."""
-    n = t.num_rows
-    out = np.zeros(n, dtype=bool)
-    if n == 0:
-        return out
-    out[0] = True
-    for c in cols:
-        col = t.column(c)
-        a, b = col.slice(0, n - 1), col.slice(1)
-        an, bn = pc.is_null(a), pc.is_null(b)
-        differ = pc.or_(pc.fill_null(pc.not_equal(a, b), False),
-                        pc.xor(an, bn))
-        if pa.types.is_floating(col.type):
-            both_nan = pc.fill_null(pc.and_(pc.is_nan(a), pc.is_nan(b)),
-                                    False)
-            differ = pc.and_(differ, pc.invert(both_nan))
-        out[1:] |= differ.to_numpy(zero_copy_only=False)
-    return out
-
-
-def sort_runs(t: pa.Table, keys: list, order=()) -> tuple:
-    """``(t sorted, run_start)``: one stable sort on ``keys`` ascending,
-    then ``order`` ([(col, "ascending"|"descending")]), NULLs at the end
-    (NaN before NULL), and :func:`row_changes` over ``keys``.  Every
-    sorted per-key reducer (windows, sessions, percentiles, top hits,
-    asof, CEP, RRF, the sessions fold) takes its runs from here."""
-    sort_keys = [(k, "ascending") for k in keys] + list(order)
-    if sort_keys:
-        t = t.take(pc.sort_indices(t, sort_keys=sort_keys,
-                                   null_placement="at_end"))
-    return t, row_changes(t, keys)
-
-
-def run_offsets(start: np.ndarray) -> np.ndarray:
-    """Each row's 0-based position within its run (``start`` as from
-    :func:`sort_runs`)."""
-    idx = np.arange(len(start))
-    return idx - np.maximum.accumulate(np.where(start, idx, 0))

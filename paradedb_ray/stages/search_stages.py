@@ -43,6 +43,7 @@ from paradedb_ray.query import ast
 from paradedb_ray.query.parser import bind
 from paradedb_ray.schema import IndexSchema, NUMERIC, TEXT, KEYWORD, JSON
 from paradedb_ray.stages.blocks import concat_blocks, tree_reduce_refs
+from paradedb_ray.stages.order import rank_head
 
 
 # ---------------------------------------------------------------------------
@@ -442,81 +443,6 @@ def search_agg_filters(schema: IndexSchema, queries: dict,
         return mask
 
     return {name: _make(q) for name, q in queries.items()}
-
-
-def expand_nulls_keys(table: pa.Table, sort_keys):
-    """Expand extended sort keys into Arrow-sortable form.  Elements past
-    ``(col, dir)`` may be ``"nulls_first"``/``"nulls_last"``
-    (`nulls_ordering.sql`) — a placement differing from Arrow's at_end
-    default becomes a prepended is-null helper column — and/or
-    ``"collation=<locale>"`` (`order_by_collation.sql`): the key column is
-    swapped for a locale-sort-key helper (byte order otherwise, exactly
-    the reference's C-collation pushdown rule) — and/or ``"lower"``
-    (`sorting.rs::sort_by_lower`: ``ORDER BY lower(field)`` pushes down
-    as a case-folded key).  Returns
-    (table+helpers, 2-tuple keys, helper column names)."""
-    import pyarrow.compute as pc
-
-    out_keys, helpers = [], []
-    for k in sort_keys:
-        col, direction = k[0], k[1]
-        nulls = None
-        collation = None
-        lower = False
-        for extra in k[2:]:
-            if extra in ("nulls_first", "nulls_last"):
-                nulls = extra
-            elif extra == "lower":
-                lower = True
-            elif isinstance(extra, str) and extra.startswith("collation="):
-                collation = extra.split("=", 1)[1]
-        # Arrow's default places nulls at_end for either direction; only
-        # an explicit placement that differs needs the helper key
-        if nulls == "nulls_first":
-            h = f"__isnull_{col}"
-            if h not in table.column_names:
-                table = table.append_column(
-                    h, pc.is_null(table.column(col)).cast(pa.int8()))
-                helpers.append(h)
-            out_keys.append((h, "descending"))
-        if collation:
-            from paradedb_ray.text.collate import sort_key_array
-
-            h = f"__coll_{col}"
-            if h not in table.column_names:
-                table = table.append_column(
-                    h, sort_key_array(table.column(col), collation))
-                helpers.append(h)
-            out_keys.append((h, direction))
-            # original column stays as the deterministic final tiebreak
-        if lower:
-            h = f"__lower_{col}"
-            if h not in table.column_names:
-                table = table.append_column(
-                    h, pc.utf8_lower(table.column(col)))
-                helpers.append(h)
-            out_keys.append((h, direction))
-        out_keys.append((col, direction))
-    return table, out_keys, helpers
-
-
-def rank_head(table: pa.Table, order_by, limit: Optional[int],
-              offset: int = 0) -> pa.Table:
-    """Rows ``offset .. offset+limit`` of ``table`` under ``order_by``
-    (extended keys, see :func:`expand_nulls_keys`; ``limit=None``: every
-    row from ``offset``) — a stable sort, so equal keys keep their input
-    order.  Every top-k head goes through here: the per-block prune, the
-    chunk keeps, each query's final merge, the facet tree's node and root
-    sorts, and the streaming partition heads and their cross-partition
-    merge."""
-    if not order_by:
-        return table.slice(offset, limit)
-    import pyarrow.compute as pc
-
-    table, keys, helpers = expand_nulls_keys(table, order_by)
-    out = table.take(pc.sort_indices(table, sort_keys=keys)
-                     .slice(offset, limit))
-    return out.drop_columns(helpers) if helpers else out
 
 
 def terms_facet(field: str, partials) -> pa.Table:

@@ -56,10 +56,10 @@ from paradedb_ray.schema import IndexSchema
 from paradedb_ray.index.searcher import GlobalStats
 from paradedb_ray.stages.blocks import (cluster_cpus, collect_table,
                                         concat_blocks)
-from paradedb_ray.stages.hash_agg import sort_runs
+from paradedb_ray.stages.order import rank_head, run_offsets, sort_runs
 from paradedb_ray.stages.search_stages import (collect_stat_requests,
                                                merge_stat_requests,
-                                               rank_head, terms_facet)
+                                               terms_facet)
 from paradedb_ray.streaming.state_store import (
     Bm25PartitionStore,
     EvalSpec,
@@ -1094,9 +1094,8 @@ class EpochRunner:
             # deterministic row order: to_arrow_refs block order is NOT
             # stable under load (CLAUDE.md invariant) and a crash-replay
             # must rewrite byte-identical sink content
-            out = out.take(pa.compute.sort_indices(
-                out, sort_keys=[(c, "ascending")
-                                for c in out.column_names]))
+            out = rank_head(out, [(c, "ascending")
+                                  for c in out.column_names], None)
             _write_atomic_parquet(
                 out, os.path.join(self.sink_dir, "patterns", name,
                                   f"epoch={epoch:06d}.parquet"))
@@ -1108,8 +1107,6 @@ class EpochRunner:
         it — the epoch files carry tombstone rows for match-less
         closes).  Convenience driver-side reader; the per-epoch parquet
         files are the scalable interface."""
-        import pandas as pd
-
         d = os.path.join(self.sink_dir, "patterns", name)
         if not os.path.isdir(d):
             return pa.table({})
@@ -1119,12 +1116,15 @@ class EpochRunner:
         t = pa.concat_tables(
             [pq.read_table(os.path.join(d, f)) for f in files],
             promote_options="default")
-        df = t.to_pandas()
-        last = df.groupby(["conv_id", "session_start"])["epoch"] \
-                 .transform("max")
-        df = df[(df["epoch"] == last) & df["__match"]]
-        df = df.drop(columns=["__match"]).reset_index(drop=True)
-        return pa.Table.from_pandas(df, preserve_index=False)
+        # each identity's run, latest epoch first: a row is current when
+        # its epoch is its run's first
+        t, start = sort_runs(t, ["conv_id", "session_start"],
+                             [("epoch", "descending")])
+        epoch = t.column("epoch").to_numpy()
+        first = np.arange(t.num_rows) - run_offsets(start)
+        t = t.filter(pa.compute.and_(pa.array(epoch == epoch[first]),
+                                     t.column("__match")))
+        return t.drop_columns(["__match"])
 
     def read_facet(self, name: str) -> pa.Table:
         """Latest-epoch view of a facet's emissions."""

@@ -48,7 +48,8 @@ import ray
 from paradedb_ray.index.searcher import GlobalStats, Hits, Searcher
 from paradedb_ray.index.segment import Segment, build_segment, merge_segments
 from paradedb_ray.schema import IndexSchema
-from paradedb_ray.stages.search_stages import rank_head, segment_stats
+from paradedb_ray.stages.order import rank_head
+from paradedb_ray.stages.search_stages import segment_stats
 
 
 #: the one checkpoint layout ``restore`` reads: zstd segment payloads,
@@ -859,8 +860,6 @@ class Bm25PartitionStore:
             seg_file = os.path.join(d, f"seg-{s.uid:08d}.pkl.zst")
             if os.path.exists(seg_file):
                 continue  # immutable: written once
-            s._json_cache = {}
-            s._vec_cache = {}
             tmp = seg_file + ".tmp"
             with open(tmp, "wb") as f:
                 f.write(_zstd_compress(pickle.dumps(s, protocol=4)))

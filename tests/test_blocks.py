@@ -106,3 +106,51 @@ def test_one_collect_path_guard():
     assert offenders == [], (
         "collect Datasets with stages.blocks.collect_table and probe the "
         f"cluster with stages.blocks.cluster_cpus: {offenders}")
+
+
+def _order_sites(src: str) -> list:
+    """Line numbers of Ray ``Dataset.sort(...)`` calls (a ``.sort`` call
+    with a positional argument that is not ``np.sort``: ``list.sort``
+    takes keywords only) and of ``sort_indices(..., sort_keys=...)``
+    calls."""
+    out = []
+    for node in ast.walk(ast.parse(src)):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)):
+            continue
+        fn = node.func
+        if fn.attr == "sort" and node.args and not (
+                isinstance(fn.value, ast.Name) and fn.value.id == "np"):
+            out.append(node.lineno)
+        elif fn.attr == "sort_indices" and any(
+                k.arg == "sort_keys" for k in node.keywords):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def _lines_of(src: str, func: str) -> range:
+    [node] = [n for n in ast.walk(ast.parse(src))
+              if isinstance(n, ast.FunctionDef) and n.name == func]
+    return range(node.lineno, node.end_lineno + 1)
+
+
+def test_one_order_path_guard():
+    """Every ORDER BY sorts through ``stages/order.py::rank_head`` and
+    merges through ``order_dataset``: no Ray ``Dataset.sort`` and no
+    other Arrow ``sort_keys`` sort in the package."""
+    assert _order_sites(
+        "out = ds.sort(['k'], descending=True).limit(3)\n"
+        "x = np.sort(v)\n"
+        "ids.sort(key=len)\n"
+        "i = pc.sort_indices(t, sort_keys=[('k', 'ascending')])\n"
+        "j = pc.sort_indices(arr)\n") == [1, 4]
+    kernel = PKG / "stages" / "order.py"
+    allowed = _lines_of(kernel.read_text(), "rank_head")
+    offenders = [
+        f"{p.relative_to(PKG.parent)}:{line}"
+        for p in sorted(PKG.rglob("*.py"))
+        for line in _order_sites(p.read_text())
+        if not (p == kernel and line in allowed)]
+    assert offenders == [], (
+        "order rows with stages.order.rank_head / sort_runs / group_heads "
+        f"and merge with stages.order.order_dataset: {offenders}")

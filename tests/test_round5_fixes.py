@@ -141,8 +141,8 @@ def test_topk_by_block_invariance(ray_session):
     outs = []
     for n in (1, 16):
         ds = ray.data.from_arrow(t).repartition(n)
-        out = topk_by(ds, [("v", "descending"), ("id", "ascending")], 20,
-                      null_placement="at_start",
+        out = topk_by(ds, [("v", "descending", "nulls_first"),
+                           ("id", "ascending")], 20,
                       columns=["id"]).take_all()
         outs.append([r["id"] for r in out])
     assert outs[0] == outs[1]

@@ -1077,6 +1077,33 @@ def test_restore_replays_checkpointed_retraction(tmp_path):
     assert _visible_turns(r) == want
 
 
+def test_checkpoint_keeps_live_segment_caches(tmp_path):
+    """A checkpoint pickles each sealed segment without its caches and
+    leaves the live segment's cached phrase matches in place; a restored
+    segment starts with empty caches and answers the same."""
+    from paradedb_ray.index.searcher import Searcher
+
+    ckpt = str(tmp_path / "ckpt")
+    schema = transcripts_schema()
+    phrase = ast.PhraseArray("text", ["red", "fox"], slop=0)
+    s = _partition_store()
+    s.ingest(_stamped_turns([(0, "red fox jumps", 10),
+                             (1, "a red dog", 11), (2, "the red fox", 12)]))
+    s._freeze()
+    [seg] = s.sealed
+    want = Searcher(seg, schema).eval(phrase).ids.tolist()
+    cached = dict(seg._json_cache)
+    assert any(k[0] == "_phrase" for k in cached)
+    s.checkpoint(ckpt, 0)
+    assert s.sealed[0] is seg and seg._json_cache == cached
+
+    r = _partition_store()
+    assert r.restore(ckpt) == 0
+    [back] = r.sealed
+    assert back._json_cache == {} and back._vec_cache == {}
+    assert Searcher(back, schema).eval(phrase).ids.tolist() == want
+
+
 def test_force_merge_collapses_segments(ray_session, turns):
     """`paradedb.force_merge` analogue (`api/admin.rs`
     force_merge_pretty_bytes): collapses each partition's sealed segments

@@ -435,3 +435,70 @@ def test_float_key_nan_null_partitions_vs_duckdb(ray_session, seed):
             FROM t WINDOW w AS (PARTITION BY f ORDER BY ts, rid))
             WHERE e = 'a' AND e1 = 'b' AND ts1 - ts <= INTERVAL 6 SECOND""",
          ["f", "r0", "r1"], "match_sequence")
+
+
+def _sql_order(key) -> str:
+    col, direction, nulls = key
+    return (f"{col} {'DESC' if direction == 'descending' else 'ASC'} "
+            f"NULLS {'FIRST' if nulls == 'nulls_first' else 'LAST'}")
+
+
+@pytest.mark.parametrize("nulls", ["nulls_last", "nulls_first"])
+@pytest.mark.parametrize("direction", ["ascending", "descending"])
+@pytest.mark.parametrize("entry", ["rank_head", "topk_by"])
+def test_order_by_nan_null_vs_duckdb(ray_session, entry, direction, nulls):
+    """ORDER BY a float column of NaN, NULL, -0.0, 0.0 and numbers, in
+    DuckDB's order: NaN is the greatest value (first on a descending
+    key), NULLs last unless NULLS FIRST, -0.0 and 0.0 peers (tie-broken
+    by ``rid``)."""
+    from paradedb_ray.pipelines.relational import topk_by
+    from paradedb_ray.stages.blocks import collect_table
+    from paradedb_ray.stages.order import rank_head
+
+    t = nan_null_events(500, 120)
+    key = [("g", direction, nulls), ("rid", "ascending")]
+    con = duckdb.connect()
+    con.register("t", t)
+    want = [r[0] for r in con.execute(
+        f"SELECT rid FROM t ORDER BY {_sql_order(key[0])}, rid").fetchall()]
+    if entry == "rank_head":
+        got = rank_head(t, key, None).column("rid").to_pylist()
+    else:
+        want = want[:25]
+        got = collect_table(topk_by(ray.data.from_arrow(t).repartition(3),
+                                    key, 25, columns=["rid"])
+                            ).column("rid").to_pylist()
+    assert got == want
+
+
+@pytest.mark.parametrize("entry", ["topn_per_group", "top_hits_agg",
+                                   "row_number"])
+def test_per_group_order_by_nan_desc_vs_duckdb(ray_session, entry):
+    """Per-group heads and window ranks ordered by ``g DESC`` (NaN first,
+    NULL last) within partitions of ``f``, against DuckDB."""
+    from paradedb_ray.pipelines.aggregate import top_hits_agg
+    from paradedb_ray.pipelines.relational import topn_per_group
+
+    t = nan_null_events(600, 160)
+    con = duckdb.connect()
+    con.register("t", t)
+    ds = ray.data.from_arrow(t).repartition(3)
+    order = [("g", "descending"), ("rid", "ascending")]
+    ranked = """SELECT f, rid, row_number() OVER (PARTITION BY f
+                  ORDER BY g DESC NULLS LAST, rid) AS rn FROM t"""
+    if entry == "topn_per_group":
+        mine = topn_per_group(ds, ["f"], order, 3, rn_col="rn")
+        sql = f"SELECT * FROM ({ranked}) WHERE rn <= 3"
+    elif entry == "top_hits_agg":
+        mine = top_hits_agg(ds, ["f"], order, size=3, source_cols=["rid"])
+        mine = mine.map_batches(
+            lambda b: b.rename_columns(
+                ["rn" if c == "hit_rank" else c for c in b.column_names]),
+            batch_format="pyarrow", batch_size=None)
+        sql = f"SELECT * FROM ({ranked}) WHERE rn <= 3"
+    else:
+        mine = partitioned_window(ds, ["f"], order,
+                                  {"rn": ("row_number", None)})
+        sql = ranked
+    cols = ["f", "rid", "rn"]
+    assert _rows(mine, cols) == _rows(con.execute(sql).arrow(), cols)
